@@ -42,7 +42,6 @@ from .graph import (
     auto_sigma_x,
     build_knn_graph,
     gaussian_weights,
-    graph_gradient,
     knn_neighborhoods,
     pairwise_distances,
 )

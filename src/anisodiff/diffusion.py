@@ -15,12 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffusivity import AnisotropicWeights, edge_sqnorms, variant_weights
+from .diffusivity import VARIANTS, AnisotropicWeights, edge_sqnorms, variant_weights
 from .errors import DivergenceError, InputError, ParameterError
 from .graph import Graph
 from .laplacian import LaplacianOperator
 
-VARIANTS = ("isotropic", "plain", "smooth", "local_match")
 MODES = ("linear", "nonlinear")
 
 
@@ -104,27 +103,19 @@ def euler_step(
     """One explicit Euler step f - delta * L^D f (isotropic when weights=None)."""
     if not delta > 0:
         raise ParameterError(f"delta must be positive, got {delta}")
-    op = LaplacianOperator(graph, weights)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(f, dtype=np.float64) - delta * op(f)
-    if not np.isfinite(out).all():
-        raise DivergenceError(f"diffusion diverged at delta={delta}")
-    return out
+    return LaplacianOperator(graph, weights).step(np.asarray(f, dtype=np.float64), delta)
 
 
 def warm_start(graph: Graph, f0, steps: int, delta: float) -> np.ndarray:
     """Run `steps` isotropic Euler steps to smooth the initial distribution."""
     if steps < 0:
         raise ParameterError("steps must be >= 0")
-    f = np.asarray(f0, dtype=np.float64).copy()
+    f = np.array(f0, dtype=np.float64)
     if steps == 0:
         return f
     op = LaplacianOperator(graph)
     for _ in range(steps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = f - delta * op(f)
-        if not np.isfinite(f).all():
-            raise DivergenceError(f"warm start diverged at delta={delta}")
+        f = op.step(f, delta)
     return f
 
 
@@ -152,35 +143,24 @@ def _trajectory(config: DiffusionConfig, graph: Graph, state: LabelState):
     clamp_values = f[clamp_rows].copy()
 
     f = warm_start(graph, f, config.warm_start_steps, config.delta)
-    isotropic = config.variant == "isotropic"
+    # the isotropic field q == 1 does not depend on f
+    recompute = config.mode == "nonlinear" and config.variant != "isotropic"
     upper = graph.upper
-
-    def energy_of(weights, sqnorms):
-        wd = graph.weights.data if weights is None else weights.wD
-        return float(wd[upper] @ sqnorms[upper])
-
     g2 = edge_sqnorms(graph, f)
-    weights = None
-    if not isotropic:
-        weights = variant_weights(graph, f, config.sigma_f, config.variant, sqnorms=g2)
+    weights = variant_weights(graph, f, config.sigma_f, config.variant, sqnorms=g2)
     op = LaplacianOperator(graph, weights)
-    yield 0, f, energy_of(weights, g2)
+    yield 0, f, float(weights.wD[upper] @ g2[upper])
     for t in range(1, config.T + 1):
-        if t > 1 and config.mode == "nonlinear" and not isotropic:
+        if t > 1 and recompute:
             weights = variant_weights(
                 graph, f, config.sigma_f, config.variant, sqnorms=g2
             )
             op = LaplacianOperator(graph, weights)
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = f - config.delta * op(f)
-        if not np.isfinite(f).all():
-            raise DivergenceError(
-                f"diffusion diverged at step {t} with delta={config.delta}"
-            )
+        f = op.step(f, config.delta)
         if config.clamp_labels:
             f[clamp_rows] = clamp_values
         g2 = edge_sqnorms(graph, f)
-        yield t, f, energy_of(weights, g2)
+        yield t, f, float(weights.wD[upper] @ g2[upper])
 
 
 def run_diffusion(

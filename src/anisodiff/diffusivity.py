@@ -1,12 +1,12 @@
 """Per-edge diffusivities and the anisotropic edge-weight fields.
 
-The diffusivity q_ij multiplies the edge weight to form w^D_ij.  Three
-variants are provided: the plain product, a smoothed field averaging
-diffusivities over the mutual kNN neighborhood of the edge endpoints, and a
-local-match field that boosts an edge when the endpoints' neighborhoods
-contain mutually similar function values.  All fields are strictly positive
-and exactly symmetric, which is what makes the resulting operator positive
-definite and the diffusion well posed.
+The diffusivity q_ij multiplies the edge weight to form w^D_ij.  Besides
+the isotropic case q == 1, three variants are provided: the plain product,
+a smoothed field averaging diffusivities over the mutual kNN neighborhood of
+the edge endpoints, and a local-match field that boosts an edge when the
+endpoints' neighborhoods contain mutually similar function values.  All
+fields are strictly positive and exactly symmetric, which is what makes the
+resulting operator positive definite and the diffusion well posed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .graph import TINY, Graph
 
-VARIANTS = ("plain", "smooth", "local_match")
+VARIANTS = ("isotropic", "plain", "smooth", "local_match")
 
 
 @dataclass(frozen=True)
@@ -157,29 +157,19 @@ def local_match_weights(
     return symmetrize(graph, AnisotropicWeights(wd, "local_match"))
 
 
-def write_diffusivity_debug(
-    graph: Graph, field: DiffusivityField, weights: AnisotropicWeights, path
-):
-    """Dump per-edge "i j q_ij wD_ij" triplet text (upper triangle)."""
-    q = _check_field(graph, field)
-    wd = np.asarray(weights.wD)
-    rows = graph.rows
-    cols = graph.weights.indices
-    with open(path, "w") as fh:
-        for p in graph.upper:
-            fh.write(f"{rows[p]} {cols[p]} {q[p]:.17g} {wd[p]:.17g}\n")
-
-
 def variant_weights(
     graph: Graph, f, sigma_f: float, variant: str, *, sqnorms=None
 ) -> AnisotropicWeights:
     """Compute the requested anisotropic weight field from function values.
 
+    ``"isotropic"`` is the special case q == 1: the graph weights themselves.
     ``sqnorms`` may pass precomputed :func:`edge_sqnorms` output to avoid
     recomputing it inside a diffusion loop.
     """
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if variant == "isotropic":
+        return AnisotropicWeights(graph.weights.data, "isotropic")
     if sqnorms is None:
         sqnorms = edge_sqnorms(graph, f)
     field = _field_from_sqnorms(graph, sqnorms, sigma_f)

@@ -25,8 +25,6 @@ from .diffusion import (
 from .errors import InputError, ParameterError, UnlabeledComponentError
 from .graph import build_knn_graph
 
-METHODS = ("I", "A_lin", "A_nlin", "A_S", "A_LM", "GRF")
-
 _METHOD_SETTINGS = {
     "I": ("isotropic", "linear"),
     "A_lin": ("plain", "linear"),
@@ -34,6 +32,8 @@ _METHOD_SETTINGS = {
     "A_S": ("smooth", "nonlinear"),
     "A_LM": ("local_match", "nonlinear"),
 }
+
+METHODS = tuple(_METHOD_SETTINGS) + ("GRF",)
 
 DEFAULT_K_VALUES = (5, 10, 20)
 DEFAULT_T_VALUES = (10, 50, 100, 200)

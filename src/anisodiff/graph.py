@@ -1,4 +1,4 @@
-"""kNN similarity graphs: neighborhoods, Gaussian weights, degrees, gradient.
+"""kNN similarity graphs: neighborhoods, Gaussian weights, degrees.
 
 The graph is the symmetric union of the K-nearest-neighbor relations, with
 Gaussian edge weights and per-node degrees d_i = sum_j w_ij.  Everything
@@ -167,17 +167,16 @@ class Graph:
         """(n, K) CSR positions of the edges (i, neighborhoods[i, a])."""
         if self.neighborhoods is None:
             raise ParameterError("graph was not built from kNN neighborhoods")
-        W = self.weights
-        nbrs = self.neighborhoods
-        pos = np.empty_like(nbrs)
-        for i in range(self.n):
-            lo, hi = W.indptr[i], W.indptr[i + 1]
-            row = W.indices[lo:hi]
-            loc = np.searchsorted(row, nbrs[i])
-            if (loc >= hi - lo).any() or (row[loc] != nbrs[i]).any():
-                raise ParameterError(f"kNN list of node {i} not found in graph")
-            pos[i] = lo + loc
-        return pos
+        n, K = self.neighborhoods.shape
+        # row-major CSR keys i * n + j ascend because the indices are sorted
+        keys = self.rows * n + self.weights.indices
+        want = (np.arange(n, dtype=np.int64)[:, None] * n + self.neighborhoods).ravel()
+        pos = np.searchsorted(keys, want)
+        found = keys[np.minimum(pos, len(keys) - 1)] == want
+        if not found.all():
+            i = int(np.flatnonzero(~found)[0]) // K
+            raise ParameterError(f"kNN list of node {i} not found in graph")
+        return pos.reshape(n, K)
 
     @cached_property
     def mutual_structure(self):
@@ -189,29 +188,26 @@ class Graph:
         |N_K(i) & N_K(j)|.  k values are enumerated in ascending order so the
         accumulation order is identical for (i, j) and (j, i).
         """
-        if self.neighborhoods is None:
-            raise ParameterError("graph was not built from kNN neighborhoods")
-        nbrs = self.neighborhoods
-        kpos = self.knn_positions
-        rank = [dict(zip(nbrs[i].tolist(), range(nbrs.shape[1]))) for i in range(self.n)]
-        nbr_sets = [set(nbrs[i].tolist()) for i in range(self.n)]
         W = self.weights
-        edge_ids, pos_ik, pos_kj = [], [], []
-        counts = np.zeros(W.nnz, dtype=np.int64)
-        for p in range(W.nnz):
-            i = int(self.rows[p])
-            j = int(W.indices[p])
-            common = sorted(nbr_sets[i] & nbr_sets[j])
-            counts[p] = len(common)
-            for k in common:
-                edge_ids.append(p)
-                pos_ik.append(kpos[i, rank[i][k]])
-                pos_kj.append(kpos[j, rank[j][k]])
+        n = self.n
+        cols = W.indices.astype(np.int64)
+        # each kNN list in CSR order, i.e. by ascending k; the keys i * n + k
+        # of all lists then form one ascending array
+        kpos = np.sort(self.knn_positions, axis=1)
+        K = kpos.shape[1]
+        knn_keys = (self.rows[kpos] * n + cols[kpos]).ravel()
+        # is k in N_K(j), for every stored (i, j) and every k in N_K(i)?
+        query = cols[:, None] * n + cols[kpos][self.rows]
+        loc = np.minimum(np.searchsorted(knn_keys, query), len(knn_keys) - 1)
+        hit = knn_keys[loc] == query
+        # flat indices are C-contiguous, unlike np.nonzero's views of a 2-D mask
+        flat = np.flatnonzero(hit)
+        edge, slot = np.divmod(flat, K)
         return (
-            np.asarray(edge_ids, dtype=np.int64),
-            np.asarray(pos_ik, dtype=np.int64),
-            np.asarray(pos_kj, dtype=np.int64),
-            counts,
+            edge,
+            kpos[self.rows[edge], slot],
+            kpos.ravel()[loc.ravel()[flat]],
+            np.count_nonzero(hit, axis=1),
         )
 
     @cached_property
@@ -353,20 +349,12 @@ def gaussian_weights(dist, sigma_x: float, neighborhoods) -> Graph:
 
 def build_knn_graph(dist, K: int, sigma_x: float | None = None) -> Graph:
     """Convenience: kNN lists, auto sigma_x unless given, Gaussian weights."""
-    D = validate_distances(dist)
+    # knn_neighborhoods validates D; a second pass would cost an n x n temporary
+    D = np.ascontiguousarray(dist, dtype=np.float64)
     nbrs = knn_neighborhoods(D, K)
     if sigma_x is None:
         sigma_x = auto_sigma_x(D, nbrs)
     return gaussian_weights(D, sigma_x, nbrs)
-
-
-def graph_gradient(graph: Graph, f, i: int, j: int) -> np.ndarray:
-    """Edge-wise gradient sqrt(w_ij) * (f(j) - f(i)) for an existing edge."""
-    p = graph.edge_position(i, j)
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim == 1:
-        f = f[:, None]
-    return np.sqrt(graph.weights.data[p]) * (f[j] - f[i])
 
 
 def write_graph_triplets(graph: Graph, path):

@@ -15,20 +15,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .diffusivity import AnisotropicWeights
-from .errors import ShapeError
+from .diffusivity import AnisotropicWeights, _check_f, edge_sqnorms
+from .errors import DivergenceError, ShapeError
 from .graph import Graph
-
-
-def _check_f(graph: Graph, f) -> np.ndarray:
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim == 1:
-        f = f[:, None]
-    if f.ndim != 2 or f.shape[0] != graph.n:
-        raise ShapeError(f"f must be (n, c) with n={graph.n}, got {f.shape}")
-    if not np.isfinite(f).all():
-        raise ShapeError("f contains non-finite entries")
-    return f
 
 
 class LaplacianOperator:
@@ -40,23 +29,27 @@ class LaplacianOperator:
     def __init__(self, graph: Graph, weights: AnisotropicWeights | None = None):
         self.graph = graph
         self.weights = weights
-        if weights is None:
-            self._WD = graph.weights
-            self._rowsum = graph.degrees
-        else:
-            wd = np.asarray(weights.wD, dtype=np.float64)
-            if wd.shape != (graph.weights.nnz,):
-                raise ShapeError("anisotropic weights not aligned with graph")
-            W = graph.weights
-            self._WD = sp.csr_array((wd, W.indices, W.indptr), shape=W.shape)
-            self._rowsum = self._WD @ np.ones(graph.n)
+        W = graph.weights
+        wd = W.data if weights is None else np.asarray(weights.wD, dtype=np.float64)
+        if wd.shape != (W.nnz,):
+            raise ShapeError("anisotropic weights not aligned with graph")
+        self._WD = sp.csr_array((wd, W.indices, W.indptr), shape=W.shape)
+        self._rowsum = self._WD @ np.ones(graph.n)
 
     def __call__(self, f) -> np.ndarray:
         # single formula for both flavors: (rowsum * f - W f) / d; the row
-        # sums come from the same matvec path, so constants map to zero
-        # exactly and q == 1 reproduces the isotropic output bitwise
+        # sums come from the same matvec path as the degrees, so constants map
+        # to zero exactly and q == 1 reproduces the isotropic output bitwise
         f = _check_f(self.graph, f)
         return (self._rowsum[:, None] * f - self._WD @ f) / self.graph.degrees[:, None]
+
+    def step(self, f: np.ndarray, delta: float) -> np.ndarray:
+        """One explicit Euler step f - delta * L f of an (n, c) array."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = f - delta * self(f)
+        if not np.isfinite(out).all():
+            raise DivergenceError(f"diffusion diverged at delta={delta}")
+        return out
 
 
 def apply_isotropic(graph: Graph, f) -> np.ndarray:
@@ -77,8 +70,6 @@ def regularizer_energy(
     Nonnegative, and zero exactly when f is constant per connected component.
     ``weights=None`` evaluates the isotropic energy (wD = w).
     """
-    f = _check_f(graph, f)
     wd = graph.weights.data if weights is None else np.asarray(weights.wD)
     p = graph.upper
-    diff = f[graph.weights.indices[p]] - f[graph.rows[p]]
-    return float(wd[p] @ np.einsum("ec,ec->e", diff, diff))
+    return float(wd[p] @ edge_sqnorms(graph, f)[p])

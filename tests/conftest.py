@@ -1,9 +1,7 @@
-import warnings
-
 import numpy as np
 import pytest
 
-from anisodiff.graph import ConnectivityWarning, Graph
+from anisodiff.graph import Graph
 
 import scipy.sparse as sp
 
@@ -25,10 +23,3 @@ def triangle_graph(w12=0.5, w13=0.2, w23=0.3):
 def triangle():
     return triangle_graph()
 
-
-@pytest.fixture(autouse=True)
-def _silence_connectivity_warnings():
-    # random small graphs are occasionally disconnected; that is fine here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConnectivityWarning)
-        yield

@@ -1,9 +1,11 @@
 """Independent brute-force reference implementations used by the tests.
 
 Everything here works on dense matrices and explicit Python loops, never on
-the package's CSR code paths, so agreement is meaningful.  The one vectorized
-reference, ``min_cross_sqdist_blocked``, is the undeduplicated local-match
-kernel, kept to check the package's kernel for bitwise equality.
+the package's CSR code paths, so agreement is meaningful.  The exceptions
+are kept to check vectorized package code for exact equality:
+``min_cross_sqdist_blocked`` is the undeduplicated local-match kernel, and
+``knn_positions_loop`` and ``mutual_structure_loop`` build the cached graph
+structures by per-node and per-edge loops over the CSR arrays.
 """
 
 import math
@@ -143,6 +145,46 @@ def min_cross_sqdist_blocked(pair_k, pair_j, nbrs, f):
         diff = f[pair_k[sl], None, :] - f[nbrs[pair_j[sl]]]
         out[sl] = np.einsum("pkc,pkc->pk", diff, diff).min(axis=1)
     return out
+
+
+def knn_positions_loop(graph):
+    """(n, K) CSR positions of the kNN edges, one row search per node."""
+    W = graph.weights
+    nbrs = graph.neighborhoods
+    pos = np.empty_like(nbrs)
+    for i in range(graph.n):
+        lo, hi = W.indptr[i], W.indptr[i + 1]
+        row = W.indices[lo:hi]
+        loc = np.searchsorted(row, nbrs[i])
+        assert (loc < hi - lo).all() and (row[loc] == nbrs[i]).all()
+        pos[i] = lo + loc
+    return pos
+
+
+def mutual_structure_loop(graph):
+    """(edge, pos_ik, pos_kj, counts) by set intersection per stored edge."""
+    nbrs = graph.neighborhoods
+    kpos = knn_positions_loop(graph)
+    rank = [dict(zip(nbrs[i].tolist(), range(nbrs.shape[1]))) for i in range(graph.n)]
+    nbr_sets = [set(nbrs[i].tolist()) for i in range(graph.n)]
+    W = graph.weights
+    edge_ids, pos_ik, pos_kj = [], [], []
+    counts = np.zeros(W.nnz, dtype=np.int64)
+    for p in range(W.nnz):
+        i = int(graph.rows[p])
+        j = int(W.indices[p])
+        common = sorted(nbr_sets[i] & nbr_sets[j])
+        counts[p] = len(common)
+        for k in common:
+            edge_ids.append(p)
+            pos_ik.append(kpos[i, rank[i][k]])
+            pos_kj.append(kpos[j, rank[j][k]])
+    return (
+        np.asarray(edge_ids, dtype=np.int64),
+        np.asarray(pos_ik, dtype=np.int64),
+        np.asarray(pos_kj, dtype=np.int64),
+        counts,
+    )
 
 
 def harmonic_bruteforce(W, f0, mask):

@@ -25,7 +25,6 @@ from oracles import (
     smooth_weights_bruteforce,
 )
 
-warnings.simplefilter("ignore", ConnectivityWarning)
 
 VARIANTS = ("plain", "smooth", "local_match")
 

@@ -146,6 +146,17 @@ class TestRunDiffusion:
         fi = run_diffusion(iso, g, state).f
         assert np.abs(fa - fi).max() < 1e-9
 
+    def test_isotropic_ignores_mode(self):
+        rng = np.random.default_rng(49)
+        _, g = random_knn_graph(rng, 30, 4)
+        state = init_labels([(0, 0), (15, 1)], 30, 2)
+        lin, non = (
+            run_diffusion(DiffusionConfig(K=4, T=15, variant="isotropic", mode=m), g, state)
+            for m in ("linear", "nonlinear")
+        )
+        assert np.array_equal(lin.f, non.f)
+        assert np.array_equal(lin.energies, non.energies)
+
     def test_linear_and_nonlinear_agree_at_t1(self):
         rng = np.random.default_rng(48)
         _, g = random_knn_graph(rng, 30, 4)

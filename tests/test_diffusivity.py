@@ -78,6 +78,14 @@ class TestGaussianDiffusivity:
             gaussian_diffusivity(triangle, f, 1.0)
 
 
+def test_isotropic_variant_is_the_graph_weights():
+    rng = np.random.default_rng(11)
+    _, g = random_knn_graph(rng, 25, 3)
+    wd = variant_weights(g, rng.normal(size=(25, 2)), 0.3, "isotropic")
+    assert np.array_equal(wd.wD, g.weights.data)
+    assert wd.variant == "isotropic"
+
+
 class TestPlainWeights:
     def test_identity_diffusivity_recovers_isotropic(self, triangle):
         f = np.zeros((3, 2))
@@ -238,23 +246,6 @@ class TestSymmetrize:
         raw = rng.uniform(0.1, 1.0, g.weights.nnz)
         sym = symmetrize(g, AnisotropicWeights(raw, "plain"))
         assert np.abs(sym.wD[g.mirror] - sym.wD).max() == 0.0
-
-
-def test_debug_dump_format(tmp_path):
-    from anisodiff.diffusivity import write_diffusivity_debug
-
-    rng = np.random.default_rng(22)
-    _, g = random_knn_graph(rng, 15, 3)
-    f = rng.normal(size=(15, 2))
-    field = gaussian_diffusivity(g, f, 0.5)
-    wd = plain_weights(g, field)
-    path = tmp_path / "debug.txt"
-    write_diffusivity_debug(g, field, wd, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(g.upper)
-    i, j, q, w = lines[0].split()
-    assert int(i) < int(j)
-    assert 0 < float(q) <= 1 and float(w) > 0
 
 
 @settings(max_examples=15, deadline=None)

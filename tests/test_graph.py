@@ -16,7 +16,6 @@ from anisodiff.graph import (
     auto_sigma_x,
     build_knn_graph,
     gaussian_weights,
-    graph_gradient,
     knn_neighborhoods,
     pairwise_distances,
     read_graph_triplets,
@@ -24,7 +23,13 @@ from anisodiff.graph import (
     write_graph_triplets,
 )
 
-from oracles import knn_bruteforce, random_knn_graph, sigma_x_bruteforce
+from oracles import (
+    knn_bruteforce,
+    knn_positions_loop,
+    mutual_structure_loop,
+    random_knn_graph,
+    sigma_x_bruteforce,
+)
 
 
 def dist_from_points(x):
@@ -231,39 +236,61 @@ class TestGraphValidation:
         assert set(cross_map.ravel().tolist()) == set(range(len(keys)))
 
 
-class TestGraphGradient:
-    def test_zero_for_equal_values(self, triangle):
-        f = np.ones((3, 2))
-        assert np.array_equal(graph_gradient(triangle, f, 0, 1), [0.0, 0.0])
+class TestStructuresMatchLoopReferences:
+    @staticmethod
+    def _assert_matches(g):
+        pairs = [(g.knn_positions, knn_positions_loop(g))]
+        pairs += zip(g.mutual_structure, mutual_structure_loop(g))
+        for got, ref in pairs:
+            assert np.array_equal(got, ref)
+            assert got.dtype == np.int64 and got.flags.c_contiguous
 
-    def test_unit_weight_scalar(self):
-        D = np.zeros((2, 2))  # duplicate points -> w = 1
-        nbrs = knn_neighborhoods(D, 1)
-        g = gaussian_weights(D, 1.0, nbrs)
-        f = np.array([[0.0], [2.0]])
-        assert graph_gradient(g, f, 0, 1).tolist() == [2.0]
+    @pytest.mark.parametrize("K", [1, 3, 8])
+    def test_random_knn_graphs(self, K):
+        rng = np.random.default_rng(60 + K)
+        for n in (K + 1, 40, 150):
+            _, g = random_knn_graph(rng, n, K)
+            self._assert_matches(g)
 
-    def test_quarter_weight_vector(self):
+    def test_duplicate_heavy_points(self):
+        X = np.round(np.random.default_rng(63).normal(size=(300, 2)), 1)
+        g = build_knn_graph(pairwise_distances(X), 8)
+        self._assert_matches(g)
+
+    def test_graph_without_neighborhoods_raises(self, triangle):
+        g = Graph(triangle.weights)
+        with pytest.raises(ParameterError):
+            g.knn_positions
+        with pytest.raises(ParameterError):
+            g.mutual_structure
+
+    def test_knn_list_off_the_graph_raises(self):
+        # path 0 - 1 - 2; node 2 claims node 0 as its neighbor
+        W = sp.csr_array(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
+        g = Graph(W, neighborhoods=[[1], [0], [0]])
+        with pytest.raises(ParameterError, match="node 2"):
+            g.knn_positions
+
+
+class TestEdgePosition:
+    def test_quarter_edge_weight(self):
         # craft a graph with w = 0.25: exp(-d^2/sigma) = 0.25
         d = math.sqrt(-math.log(0.25))
         D = dist_from_points([0.0, d])
         nbrs = knn_neighborhoods(D, 1)
         g = gaussian_weights(D, 1.0, nbrs)
         assert g.edge_weight(0, 1) == pytest.approx(0.25, rel=1e-15)
-        f = np.array([[0.0, 0.0], [1.0, -1.0]])
-        out = graph_gradient(g, f, 0, 1)
-        assert out == pytest.approx([0.5, -0.5], rel=1e-12)
 
     def test_non_edge_raises(self, triangle):
         with pytest.raises(NonEdgeError):
-            graph_gradient(triangle, np.zeros((3, 1)), 0, 0)
+            triangle.edge_position(0, 0)
         rng = np.random.default_rng(7)
         _, g = random_knn_graph(rng, 20, 2)
         dense = g.weights.toarray()
         zeros = np.argwhere(dense == 0)
         i, j = next((i, j) for i, j in zeros if i != j)
         with pytest.raises(NonEdgeError):
-            graph_gradient(g, np.zeros((20, 1)), int(i), int(j))
+            g.edge_position(int(i), int(j))
 
 
 class TestTripletRoundTrip:
