@@ -31,7 +31,13 @@ from .errors import (
     ShapeError,
     UnlabeledComponentError,
 )
-from .graph import auto_sigma_x, build_knn_graph, knn_neighborhoods, write_graph_triplets
+from .graph import (
+    auto_sigma_x,
+    build_knn_graph,
+    gaussian_weights,
+    knn_neighborhoods,
+    write_graph_triplets,
+)
 
 VARIANT_FLAGS = {
     "iso": "isotropic",
@@ -173,14 +179,18 @@ def _report_mapping(mapping):
         print(f"label classes remapped to a contiguous range: {pairs}")
 
 
-def _load_dataset_sources(parser, args):
+def _load_distances(parser, args):
+    """The n x n distance matrix from --features or --distances."""
     if args.features:
         _require_file(parser, args.features, "features")
-        X = datamod.read_features(args.features)
-        return X, None, X.shape[0]
+        return datamod.pairwise_distances(datamod.read_features(args.features))
     _require_file(parser, args.distances, "distances")
-    D = datamod.read_distances(args.distances)
-    return None, D, D.shape[0]
+    return datamod.read_distances(args.distances)
+
+
+def _check_K(parser, K, n):
+    if not 1 <= K <= n - 1:
+        parser.error(f"--K must be in [1, {n - 1}]")
 
 
 def cmd_synth(parser, args) -> int:
@@ -206,26 +216,50 @@ def cmd_synth(parser, args) -> int:
 
 
 def cmd_build_graph(parser, args) -> int:
-    X, D, n = _load_dataset_sources(parser, args)
-    if D is None:
-        from .graph import pairwise_distances
-
-        D = pairwise_distances(X)
-    if not 1 <= args.K <= n - 1:
-        parser.error(f"--K must be in [1, {n - 1}]")
+    D = _load_distances(parser, args)
+    _check_K(parser, args.K, D.shape[0])
     nbrs = knn_neighborhoods(D, args.K)
     sigma_x = args.sigma_x if args.sigma_x is not None else auto_sigma_x(D, nbrs)
-    from .graph import gaussian_weights
-
     graph = gaussian_weights(D, sigma_x, nbrs)
     write_graph_triplets(graph, args.out)
     print(f"n={graph.n} edges={len(graph.upper)} sigma_x={sigma_x:.17g}")
     return 0
 
 
-def _config_from_args(parser, args, n):
-    if not 1 <= args.K <= n - 1:
-        parser.error(f"--K must be in [1, {n - 1}]")
+def _labeled_inputs(parser, args):
+    """(D, labeled indices, label state, ground truth or None) of a run."""
+    D = _load_distances(parser, args)
+    n = D.shape[0]
+    _require_file(parser, args.labels, "labels")
+    _require_file(parser, args.truth, "truth")
+    idx, cls = datamod.read_label_pairs(args.labels)
+    if idx.max() >= n:
+        raise InputError(f"label index {idx.max()} outside [0, {n})")
+    truth = None
+    if args.truth:
+        truth, mapping = datamod.read_labels(args.truth, n)
+        _report_mapping(mapping)
+        c = int(truth.max()) + 1
+        if cls.max() >= c:
+            raise InputError("labeled classes exceed ground-truth class range")
+    else:
+        c = int(cls.max()) + 1
+    _check_K(parser, args.K, n)
+    return D, idx, init_labels(zip(idx, cls), n, c), truth
+
+
+def _write_predictions(args, f, idx, truth):
+    pred = decode_labels(f)
+    datamod.write_labels(pred, args.out)
+    if truth is not None:
+        eval_idx = np.setdiff1d(np.arange(len(pred)), idx)
+        err = evaluation.error_rate(pred, truth, eval_idx)
+        print(f"test_error={err:.17g}")
+    else:
+        print(f"predictions={args.out}")
+
+
+def _config_from_args(parser, args):
     try:
         return DiffusionConfig(
             K=args.K,
@@ -242,75 +276,19 @@ def _config_from_args(parser, args, n):
 
 
 def cmd_propagate(parser, args) -> int:
-    X, D, n = _load_dataset_sources(parser, args)
-    _require_file(parser, args.labels, "labels")
-    _require_file(parser, args.truth, "truth")
-    idx, cls = datamod.read_label_pairs(args.labels)
-    if idx.size and idx.max() >= n:
-        raise InputError(f"label index {idx.max()} outside [0, {n})")
-    truth = None
-    if args.truth:
-        truth, mapping = datamod.read_labels(args.truth, n)
-        _report_mapping(mapping)
-        c = int(truth.max()) + 1
-        if cls.size and cls.max() >= c:
-            raise InputError("labeled classes exceed ground-truth class range")
-    else:
-        c = int(cls.max()) + 1 if cls.size else 1
-    config = _config_from_args(parser, args, n)
-    if D is None:
-        from .graph import pairwise_distances
-
-        D = pairwise_distances(X)
-    graph = build_knn_graph(D, config.K)
-    state = init_labels(zip(idx, cls), n, c)
-    result = run_diffusion(config, graph, state)
-    pred = decode_labels(result.f)
-    datamod.write_labels(pred, args.out)
+    D, idx, state, truth = _labeled_inputs(parser, args)
+    config = _config_from_args(parser, args)
+    result = run_diffusion(config, build_knn_graph(D, config.K), state)
     if args.trace:
         write_energy_trace(result.energies, args.trace)
-    if truth is not None:
-        eval_idx = np.setdiff1d(np.arange(n), idx)
-        err = evaluation.error_rate(pred, truth, eval_idx)
-        print(f"test_error={err:.17g}")
-    else:
-        print(f"predictions={args.out}")
+    _write_predictions(args, result.f, idx, truth)
     return 0
 
 
 def cmd_grf(parser, args) -> int:
-    X, D, n = _load_dataset_sources(parser, args)
-    _require_file(parser, args.labels, "labels")
-    _require_file(parser, args.truth, "truth")
-    idx, cls = datamod.read_label_pairs(args.labels)
-    if idx.size == 0:
-        parser.error("grf requires at least one labeled node")
-    if idx.max() >= n:
-        raise InputError(f"label index {idx.max()} outside [0, {n})")
-    truth = None
-    if args.truth:
-        truth, mapping = datamod.read_labels(args.truth, n)
-        _report_mapping(mapping)
-        c = int(truth.max()) + 1
-    else:
-        c = int(cls.max()) + 1
-    if not 1 <= args.K <= n - 1:
-        parser.error(f"--K must be in [1, {n - 1}]")
-    if D is None:
-        from .graph import pairwise_distances
-
-        D = pairwise_distances(X)
-    graph = build_knn_graph(D, args.K)
-    state = init_labels(zip(idx, cls), n, c)
-    sol = grf_harmonic(graph, state)
-    pred = decode_labels(sol.f)
-    datamod.write_labels(pred, args.out)
-    if truth is not None:
-        eval_idx = np.setdiff1d(np.arange(n), idx)
-        err = evaluation.error_rate(pred, truth, eval_idx)
-        print(f"test_error={err:.17g}")
-    else:
-        print(f"predictions={args.out}")
+    D, idx, state, truth = _labeled_inputs(parser, args)
+    sol = grf_harmonic(build_knn_graph(D, args.K), state)
+    _write_predictions(args, sol.f, idx, truth)
     return 0
 
 
@@ -332,11 +310,11 @@ def cmd_benchmark(parser, args) -> int:
         )
     except (ValueError, ParameterError) as exc:
         parser.error(str(exc))
-    X, D, n = _load_dataset_sources(parser, args)
+    D = _load_distances(parser, args)
     _require_file(parser, args.labels, "labels")
-    labels, mapping = datamod.read_labels(args.labels, n)
+    labels, mapping = datamod.read_labels(args.labels, D.shape[0])
     _report_mapping(mapping)
-    ds = datamod.Dataset("cli-dataset", labels, features=X, distances=D)
+    ds = datamod.Dataset("cli-dataset", labels, distances=D)
     report = evaluation.benchmark(
         ds,
         methods,

@@ -44,9 +44,13 @@ class LaplacianOperator:
         return (self._rowsum[:, None] * f - self._WD @ f) / self.graph.degrees[:, None]
 
     def step(self, f: np.ndarray, delta: float) -> np.ndarray:
-        """One explicit Euler step f - delta * L f of an (n, c) array."""
+        """One explicit Euler step f - delta * L f; returns an (n, c) array.
+
+        A 1-D f of length n is taken as (n, 1), as :meth:`__call__` takes it.
+        """
         with np.errstate(over="ignore", invalid="ignore"):
-            out = f - delta * self(f)
+            Lf = self(f)
+            out = f.reshape(Lf.shape) - delta * Lf
         if not np.isfinite(out).all():
             raise DivergenceError(f"diffusion diverged at delta={delta}")
         return out

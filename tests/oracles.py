@@ -3,9 +3,10 @@
 Everything here works on dense matrices and explicit Python loops, never on
 the package's CSR code paths, so agreement is meaningful.  The exceptions
 are kept to check vectorized package code for exact equality:
-``min_cross_sqdist_blocked`` is the undeduplicated local-match kernel, and
+``min_cross_sqdist_blocked`` is the undeduplicated local-match kernel,
 ``knn_positions_loop`` and ``mutual_structure_loop`` build the cached graph
-structures by per-node and per-edge loops over the CSR arrays.
+structures by per-node and per-edge loops over the CSR arrays, and
+``benchmark_rerun_errors`` reruns each selected benchmark cell on its own.
 """
 
 import math
@@ -210,3 +211,59 @@ def random_knn_graph(rng, n, K, d=2):
     D = pairwise_distances(X)
     graph = build_knn_graph(D, K)
     return D, graph
+
+
+# (variant, mode) of every diffusion method of the benchmark
+BENCHMARK_METHODS = {
+    "I": ("isotropic", "linear"),
+    "A_lin": ("plain", "linear"),
+    "A_nlin": ("plain", "nonlinear"),
+    "A_S": ("smooth", "nonlinear"),
+    "A_LM": ("local_match", "nonlinear"),
+}
+
+
+def benchmark_rerun_errors(dataset, report, *, delta=1.0, warm_start_steps=20):
+    """Per-method test errors from a fresh run of each reported selection.
+
+    For every row and seed the ``selected`` cell is parsed back, the model is
+    rerun on its own (a ``run_diffusion`` of that K, T and sigma_f, or the
+    harmonic solve at that K) and scored on the seed's test split.
+    """
+    from anisodiff.baselines import grf_harmonic
+    from anisodiff.data import split_labels
+    from anisodiff.diffusion import DiffusionConfig, decode_labels, init_labels, run_diffusion
+    from anisodiff.errors import UnlabeledComponentError
+    from anisodiff.graph import build_knn_graph
+
+    y = dataset.labels
+    out = {}
+    for row in report.rows:
+        errors = []
+        for seed, cell in zip(report.seeds, row.selected):
+            split = split_labels(dataset, report.train_labels, seed)
+            state = init_labels(zip(split.train, y[split.train]), dataset.n, dataset.c)
+            params = dict(part.split(":") for part in cell.split(";"))
+            graph = build_knn_graph(dataset.distance_matrix, int(params["K"]))
+            if row.method == "GRF":
+                try:
+                    f = grf_harmonic(graph, state).f
+                except UnlabeledComponentError:
+                    errors.append(100.0)
+                    continue
+            else:
+                variant, mode = BENCHMARK_METHODS[row.method]
+                config = DiffusionConfig(
+                    K=int(params["K"]),
+                    T=int(params["T"]),
+                    sigma_f=float(params["sigma_f"]),
+                    delta=delta,
+                    warm_start_steps=warm_start_steps,
+                    variant=variant,
+                    mode=mode,
+                )
+                f = run_diffusion(config, graph, state).f
+            wrong = np.count_nonzero(decode_labels(f)[split.test] != y[split.test])
+            errors.append(100.0 * wrong / len(split.test))
+        out[row.method] = tuple(errors)
+    return out

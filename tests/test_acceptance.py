@@ -6,7 +6,6 @@ lines.  The two-moons comparison (criteria 6 and 7) shares a single
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ import scipy.sparse as sp
 
 import anisodiff as ad
 from anisodiff.diffusivity import variant_weights
-from anisodiff.graph import ConnectivityWarning, Graph
+from anisodiff.graph import Graph
 
 from oracles import (
     dense_anisotropic_apply,

@@ -187,6 +187,37 @@ class TestGrf:
         assert "test_error=0" in capsys.readouterr().out
 
 
+class TestLabeledInputs:
+    """Checks that propagate and grf share through one input loader."""
+
+    @pytest.mark.parametrize("command", ["propagate", "grf"])
+    def test_empty_labels_file_runtime_error(self, tmp_path, capsys, command):
+        out = synth_moons(tmp_path)
+        train = tmp_path / "train.txt"
+        train.write_text("# no labels\n")
+        code = run_cli(
+            [command, "--features", out / "features.txt", "--labels", train,
+             "--K", 5, "--out", tmp_path / "p.txt"]
+        )
+        assert code == 1
+        assert "no data rows" in capsys.readouterr().err
+        assert not (tmp_path / "p.txt").exists()
+
+    @pytest.mark.parametrize("command", ["propagate", "grf"])
+    def test_labeled_class_beyond_truth_runtime_error(self, tmp_path, capsys, command):
+        out = synth_moons(tmp_path)
+        train = tmp_path / "train.txt"
+        train.write_text("0 0\n79 7\n")
+        code = run_cli(
+            [command, "--features", out / "features.txt", "--labels", train,
+             "--truth", out / "labels.txt", "--K", 5, "--out", tmp_path / "p.txt"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "labeled classes exceed ground-truth class range" in err
+        assert not (tmp_path / "p.txt").exists()
+
+
 class TestBenchmark:
     def test_two_rows_and_byte_identical_reports(self, tmp_path):
         out = synth_moons(tmp_path, n=60, seed=11)

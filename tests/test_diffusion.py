@@ -88,6 +88,17 @@ class TestEulerStep:
             for _ in range(400):
                 f = euler_step(g, f, 1000.0)
 
+    def test_one_dimensional_f_is_one_column(self):
+        rng = np.random.default_rng(46)
+        _, g = random_knn_graph(rng, 30, 4)
+        f = rng.normal(size=30)
+        wd = variant_weights(g, f, 0.3, "smooth")
+        for weights in (None, wd):
+            flat = euler_step(g, f, 0.5, weights)
+            column = euler_step(g, f[:, None], 0.5, weights)
+            assert flat.shape == (30, 1)
+            assert np.array_equal(flat, column)
+
     def test_mass_conservation(self):
         rng = np.random.default_rng(42)
         _, g = random_knn_graph(rng, 60, 5)
@@ -111,6 +122,16 @@ class TestWarmStart:
         _, g = random_knn_graph(rng, 15, 3)
         f0 = np.full((15, 2), 2.0)
         assert np.abs(warm_start(g, f0, 30, 1.0) - f0).max() < 1e-10
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_one_dimensional_f_is_one_column(self, steps):
+        rng = np.random.default_rng(47)
+        _, g = random_knn_graph(rng, 30, 4)
+        f = rng.normal(size=30)
+        flat = warm_start(g, f, steps, 1.0)
+        column = warm_start(g, f[:, None], steps, 1.0)
+        assert flat.shape == (30, 1)
+        assert np.array_equal(flat, column)
 
     def test_twenty_steps_match_dense_oracle(self):
         rng = np.random.default_rng(45)

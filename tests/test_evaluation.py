@@ -3,7 +3,7 @@ import pytest
 
 from anisodiff.data import gaussian_blobs, split_labels, two_moons
 from anisodiff.diffusion import DiffusionConfig, decode_labels, init_labels, run_diffusion
-from anisodiff.errors import InputError, ParameterError
+from anisodiff.errors import DivergenceError, InputError, ParameterError
 from anisodiff.evaluation import (
     GridSpec,
     benchmark,
@@ -14,6 +14,8 @@ from anisodiff.evaluation import (
     report_table,
 )
 from anisodiff.graph import build_knn_graph
+
+from oracles import benchmark_rerun_errors
 
 
 class TestErrorRate:
@@ -67,7 +69,7 @@ class TestGridSearch:
         ds = gaussian_blobs(60, 2, 8.0, 2, seed=0)
         split = split_labels(ds, 4, seed=0)
         grid = GridSpec(K_values=(5,), T_values=(10,), sigma_f_values=(0.2,))
-        config, err = grid_search(grid, ds, split)
+        config, err, _ = grid_search(grid, ds, split)
         assert (config.K, config.T, config.sigma_f) == (5, 10, 0.2)
         assert 0.0 <= err <= 100.0
 
@@ -76,7 +78,7 @@ class TestGridSearch:
         ds = gaussian_blobs(60, 2, 20.0, 2, seed=1)
         split = split_labels(ds, 4, seed=1)
         grid = GridSpec(K_values=(7, 3), T_values=(50, 10), sigma_f_values=(0.5, 0.1))
-        config, err = grid_search(grid, ds, split)
+        config, err, _ = grid_search(grid, ds, split)
         assert err == 0.0
         assert (config.T, config.K, config.sigma_f) == (10, 3, 0.1)
 
@@ -91,7 +93,7 @@ class TestGridSearch:
                 variant=variant,
                 mode=mode,
             )
-            config, err = grid_search(grid, ds, split)
+            config, err, _ = grid_search(grid, ds, split)
             oracle = exhaustive_oracle(grid, ds, split)
             assert (err, config.T, config.K, config.sigma_f) == oracle
 
@@ -105,7 +107,7 @@ class TestGridSearch:
             variant="local_match",
             mode="nonlinear",
         )
-        config, err = grid_search(grid, ds, split)
+        config, err, _ = grid_search(grid, ds, split)
         oracle = exhaustive_oracle(grid, ds, split)
         assert (err, config.T, config.K, config.sigma_f) == oracle
 
@@ -118,7 +120,7 @@ class TestGridSearch:
             sigma_f_values=(0.7, 0.1),
             variant="isotropic",
         )
-        config, _ = grid_search(grid, ds, split)
+        config, _, _ = grid_search(grid, ds, split)
         assert config.sigma_f == 0.7  # first value; sigma_f is inert here
 
     def test_divergent_cells_score_100_without_abort(self):
@@ -129,7 +131,7 @@ class TestGridSearch:
         grid = GridSpec(
             K_values=(3,), T_values=(400,), sigma_f_values=(0.2,), variant="isotropic"
         )
-        config, err = grid_search(grid, ds, split, delta=1000.0)
+        config, err, _ = grid_search(grid, ds, split, delta=1000.0)
         assert err == 100.0
         assert config.T == 400
 
@@ -194,3 +196,37 @@ class TestBenchmark:
     def test_table_renders(self, small_report):
         text = report_table(small_report)
         assert "method" in text and "I" in text.split()
+
+
+class TestBenchmarkMatchesRerun:
+    """The test error read off the search equals a fresh run of the selection."""
+
+    ALL_METHODS = ["I", "A_lin", "A_nlin", "A_S", "A_LM", "GRF"]
+
+    # noisy inputs, so the selected cells differ across methods and seeds
+    # (K, T and sigma_f all vary) and the errors are nonzero
+    @pytest.mark.parametrize(
+        "dataset, train_labels",
+        [(two_moons(80, 0.2, seed=12), 4), (gaussian_blobs(60, 3, 2.0, 2, seed=14), 6)],
+        ids=["two_moons80", "blobs60"],
+    )
+    def test_errors_equal_rerun_oracle(self, dataset, train_labels):
+        grid = GridSpec(K_values=(4, 8), T_values=(5, 20), sigma_f_values=(0.1, 0.5))
+        report = benchmark(
+            dataset, self.ALL_METHODS, [0, 1, 2], grid, train_labels=train_labels
+        )
+        oracle = benchmark_rerun_errors(dataset, report)
+        assert [r.method for r in report.rows] == self.ALL_METHODS
+        for row in report.rows:
+            assert row.errors == oracle[row.method], row.method
+
+    def test_diverged_selection(self):
+        # the divergence grid of TestGridSearch: every cell overflows
+        ds = gaussian_blobs(40, 2, 10.0, 2, seed=4)
+        grid = GridSpec(
+            K_values=(3,), T_values=(400,), sigma_f_values=(0.2,), variant="isotropic"
+        )
+        _, err, labels = grid_search(grid, ds, split_labels(ds, 4, seed=4), delta=1000.0)
+        assert err == 100.0 and labels is None
+        with pytest.raises(DivergenceError, match="diverged at delta=1000"):
+            benchmark(ds, ["I"], [4], grid, train_labels=4, delta=1000.0)
