@@ -119,14 +119,18 @@ def warm_start(graph: Graph, f0, steps: int, delta: float) -> np.ndarray:
     return f
 
 
-def _trajectory(config: DiffusionConfig, graph: Graph, state: LabelState):
+def _trajectory(
+    config: DiffusionConfig, graph: Graph, state: LabelState, *, energies: bool = True
+):
     """Yield (t, f^t, energy_t) for t = 0 .. T.
 
     energy_t is the regularizer value of f^t under the weight field used to
     produce it (the isotropic weights for that variant); index 0 carries the
     warm-started state and the initial field.  The per-edge squared norms of
     f^t feed both the energy and the next step's diffusivity, so they are
-    computed once.
+    computed once, and only when one of the two reads them: with
+    ``energies=False`` every energy_t is None.  One operator serves the
+    whole trajectory; a nonlinear step swaps in the new field.
     """
     f = np.asarray(state.f, dtype=np.float64)
     if f.shape != (graph.n, state.c):
@@ -146,21 +150,28 @@ def _trajectory(config: DiffusionConfig, graph: Graph, state: LabelState):
     # the isotropic field q == 1 does not depend on f
     recompute = config.mode == "nonlinear" and config.variant != "isotropic"
     upper = graph.upper
-    g2 = edge_sqnorms(graph, f)
+
+    def energy(weights, g2):
+        return float(weights.wD[upper] @ g2[upper]) if energies else None
+
+    g2 = None
+    if energies or config.variant != "isotropic":
+        g2 = edge_sqnorms(graph, f)
     weights = variant_weights(graph, f, config.sigma_f, config.variant, sqnorms=g2)
     op = LaplacianOperator(graph, weights)
-    yield 0, f, float(weights.wD[upper] @ g2[upper])
+    yield 0, f, energy(weights, g2)
     for t in range(1, config.T + 1):
         if t > 1 and recompute:
             weights = variant_weights(
                 graph, f, config.sigma_f, config.variant, sqnorms=g2
             )
-            op = LaplacianOperator(graph, weights)
+            op.set_weights(weights)
         f = op.step(f, config.delta)
         if config.clamp_labels:
             f[clamp_rows] = clamp_values
-        g2 = edge_sqnorms(graph, f)
-        yield t, f, float(weights.wD[upper] @ g2[upper])
+        if energies or (recompute and t < config.T):
+            g2 = edge_sqnorms(graph, f)
+        yield t, f, energy(weights, g2)
 
 
 def run_diffusion(
@@ -183,14 +194,15 @@ def snapshots_at(
     A nonlinear trajectory at step t is a prefix of any longer run with the
     same config, so evaluating several T values this way is exactly
     equivalent to independent runs.  If the trajectory diverges, the steps
-    already passed are returned and later ones are missing.
+    already passed are returned and later ones are missing.  No energy is
+    computed.
     """
     wanted = set(int(t) for t in steps)
     if wanted and max(wanted) != config.T:
         config = replace(config, T=max(wanted))
     out: dict[int, np.ndarray] = {}
     try:
-        for t, f, _ in _trajectory(config, graph, state):
+        for t, f, _ in _trajectory(config, graph, state, energies=False):
             if t in wanted:
                 out[t] = f.copy()
     except DivergenceError:

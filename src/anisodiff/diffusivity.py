@@ -51,14 +51,11 @@ def _check_f(graph: Graph, f) -> np.ndarray:
 def edge_sqnorms(graph: Graph, f) -> np.ndarray:
     """||f(j) - f(i)||^2 per stored edge, computed once per undirected pair."""
     f = _check_f(graph, f)
-    W = graph.weights
-    up = graph.upper
-    diff = f[W.indices[up]] - f[graph.rows[up]]
-    g2u = np.einsum("ec,ec->e", diff, diff)
-    g2 = np.empty(W.nnz)
-    g2[up] = g2u
-    g2[graph.mirror[up]] = g2u
-    return g2
+    i, j, edge_of = graph.undirected_edges
+    # np.take of whole rows is much faster than fancy indexing of a 2-D array
+    diff = np.take(f, j, axis=0)
+    diff -= np.take(f, i, axis=0)
+    return np.einsum("ec,ec->e", diff, diff)[edge_of]
 
 
 def _field_from_sqnorms(graph: Graph, g2, sigma_f: float) -> DiffusivityField:
@@ -106,18 +103,23 @@ def smooth_weights(graph: Graph, field: DiffusivityField) -> AnisotropicWeights:
     w^D_ij = sum_{k in N_K(i) & N_K(j)} w_ij (q_ij + q_ik q_kj) / (s_i + s_j)
     with s_i = sum_{k in N_K(i)} q_ik.  Edges with an empty mutual
     neighborhood fall back to the plain product w_ij q_ij, preserving strict
-    positivity.
+    positivity.  For an exactly symmetric q, as :func:`gaussian_diffusivity`
+    gives, the formula is symmetric in i and j term by term and in the same
+    order of k, so it is evaluated once per undirected edge.
     """
     q = _check_field(graph, field)
-    edge_ids, pos_ik, pos_kj, counts = graph.mutual_structure
+    edge, pos_ik, pos_kj, counts = graph.mutual_structure
+    i, j, edge_of = graph.undirected_edges
     s = q[graph.knn_positions].sum(axis=1)
-    denom = s[graph.rows] + s[graph.weights.indices]
+    denom = s[i] + s[j]
     if (denom <= 0).any():
         raise AssertionError("diffusivity sums must be positive")
-    tri = np.bincount(edge_ids, weights=q[pos_ik] * q[pos_kj], minlength=graph.weights.nnz)
-    w = graph.weights.data
-    wd = np.where(counts > 0, w * (counts * q + tri) / denom, w * q)
-    return symmetrize(graph, AnisotropicWeights(wd, "smooth"))
+    tri = np.bincount(edge, weights=q[pos_ik] * q[pos_kj], minlength=len(i))
+    up = graph.upper
+    w = graph.weights.data[up]
+    qu = q[up]
+    wd = np.where(counts > 0, w * (counts * qu + tri) / denom, w * qu)
+    return AnisotropicWeights(wd[edge_of], "smooth")
 
 
 def _min_cross_sqdist(graph: Graph, f) -> np.ndarray:

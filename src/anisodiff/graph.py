@@ -163,6 +163,20 @@ class Graph:
         return np.nonzero(self.weights.indices > self.rows)[0]
 
     @cached_property
+    def undirected_edges(self):
+        """Per-edge index arrays for fields computed once per undirected edge.
+
+        Returns (i, j, edge_of): the endpoints i < j of every edge in the
+        order of :attr:`upper`, and for every stored CSR entry the index of
+        its edge, so ``a[edge_of]`` lays a per-edge array out over both
+        stored directions.
+        """
+        up = self.upper
+        edge_of = np.empty(self.weights.nnz, dtype=np.int64)
+        edge_of[up] = edge_of[self.mirror[up]] = np.arange(len(up))
+        return self.rows[up], self.weights.indices[up], edge_of
+
+    @cached_property
     def knn_positions(self) -> np.ndarray:
         """(n, K) CSR positions of the edges (i, neighborhoods[i, a])."""
         if self.neighborhoods is None:
@@ -182,22 +196,23 @@ class Graph:
     def mutual_structure(self):
         """Flattened mutual-neighborhood structure for the smooth diffusivity.
 
-        Returns (edge, pos_ik, pos_kj, counts): for every directed stored edge
-        p = (i, j), the common kNN members k of i and j contribute one entry
-        with the CSR positions of (i, k) and (j, k); ``counts[p]`` is
-        |N_K(i) & N_K(j)|.  k values are enumerated in ascending order so the
-        accumulation order is identical for (i, j) and (j, i).
+        Returns (edge, pos_ik, pos_kj, counts) over the undirected edges of
+        :attr:`undirected_edges`: for edge e = (i, j), the common kNN members
+        k of i and j contribute one entry with the CSR positions of (i, k)
+        and (j, k); ``counts[e]`` is |N_K(i) & N_K(j)|.  k values are
+        enumerated in ascending order.
         """
         W = self.weights
         n = self.n
         cols = W.indices.astype(np.int64)
+        ei, ej, _ = self.undirected_edges
         # each kNN list in CSR order, i.e. by ascending k; the keys i * n + k
         # of all lists then form one ascending array
         kpos = np.sort(self.knn_positions, axis=1)
         K = kpos.shape[1]
         knn_keys = (self.rows[kpos] * n + cols[kpos]).ravel()
-        # is k in N_K(j), for every stored (i, j) and every k in N_K(i)?
-        query = cols[:, None] * n + cols[kpos][self.rows]
+        # is k in N_K(j), for every edge (i, j) and every k in N_K(i)?
+        query = ej.astype(np.int64)[:, None] * n + cols[kpos][ei]
         loc = np.minimum(np.searchsorted(knn_keys, query), len(knn_keys) - 1)
         hit = knn_keys[loc] == query
         # flat indices are C-contiguous, unlike np.nonzero's views of a 2-D mask
@@ -205,7 +220,7 @@ class Graph:
         edge, slot = np.divmod(flat, K)
         return (
             edge,
-            kpos[self.rows[edge], slot],
+            kpos[ei[edge], slot],
             kpos.ravel()[loc.ravel()[flat]],
             np.count_nonzero(hit, axis=1),
         )

@@ -28,13 +28,26 @@ class LaplacianOperator:
 
     def __init__(self, graph: Graph, weights: AnisotropicWeights | None = None):
         self.graph = graph
-        self.weights = weights
         W = graph.weights
-        wd = W.data if weights is None else np.asarray(weights.wD, dtype=np.float64)
-        if wd.shape != (W.nnz,):
+        self._WD = sp.csr_array((W.data, W.indices, W.indptr), shape=W.shape)
+        self.set_weights(weights)
+
+    def set_weights(self, weights: AnisotropicWeights | None) -> None:
+        """Swap in another weight field over the same CSR index arrays.
+
+        The new array replaces the operator's data reference; nothing is
+        written into the graph's arrays, so operators may share one graph.
+        """
+        wd = (
+            self.graph.weights.data
+            if weights is None
+            else np.ascontiguousarray(weights.wD, dtype=np.float64)
+        )
+        if wd.shape != (self._WD.nnz,):
             raise ShapeError("anisotropic weights not aligned with graph")
-        self._WD = sp.csr_array((wd, W.indices, W.indptr), shape=W.shape)
-        self._rowsum = self._WD @ np.ones(graph.n)
+        self.weights = weights
+        self._WD.data = wd
+        self._rowsum = self._WD @ np.ones(self.graph.n)
 
     def __call__(self, f) -> np.ndarray:
         # single formula for both flavors: (rowsum * f - W f) / d; the row

@@ -5,7 +5,10 @@ the package's CSR code paths, so agreement is meaningful.  The exceptions
 are kept to check vectorized package code for exact equality:
 ``min_cross_sqdist_blocked`` is the undeduplicated local-match kernel,
 ``knn_positions_loop`` and ``mutual_structure_loop`` build the cached graph
-structures by per-node and per-edge loops over the CSR arrays, and
+structures by per-node and per-edge loops over the CSR arrays,
+``smooth_weights_directed`` evaluates the smooth field on every stored
+direction and averages the pair, ``trajectory_rebuild`` runs the diffusion
+loop with a fresh operator and the energy on every step, and
 ``benchmark_rerun_errors`` reruns each selected benchmark cell on its own.
 """
 
@@ -186,6 +189,66 @@ def mutual_structure_loop(graph):
         np.asarray(pos_kj, dtype=np.int64),
         counts,
     )
+
+
+def smooth_weights_directed(graph, field):
+    """The smooth field on every stored (i, j), then the mean with (j, i).
+
+    Same float operations as the per-undirected-edge package code, over the
+    directed layout of :func:`mutual_structure_loop`.
+    """
+    q = field.q
+    edge_ids, pos_ik, pos_kj, counts = mutual_structure_loop(graph)
+    s = q[knn_positions_loop(graph)].sum(axis=1)
+    denom = s[graph.rows] + s[graph.weights.indices]
+    tri = np.bincount(edge_ids, weights=q[pos_ik] * q[pos_kj], minlength=graph.weights.nnz)
+    w = graph.weights.data
+    wd = np.where(counts > 0, w * (counts * q + tri) / denom, w * q)
+    return 0.5 * (wd + wd[graph.mirror])
+
+
+def _edge_sqnorms_gather(graph, f):
+    """||f(j) - f(i)||^2 per stored entry, gathering the endpoints anew."""
+    W = graph.weights
+    up = graph.upper
+    diff = f[W.indices[up]] - f[graph.rows[up]]
+    g2u = np.einsum("ec,ec->e", diff, diff)
+    g2 = np.empty(W.nnz)
+    g2[up] = g2u
+    g2[graph.mirror[up]] = g2u
+    return g2
+
+
+def trajectory_rebuild(config, graph, state):
+    """(f^T, energies) of a diffusion run, rebuilding everything per step.
+
+    A fresh operator is built for every warm-start and Euler step, and the
+    squared norms and energy are computed after every step, whether or not
+    anything reads them.
+    """
+    from anisodiff.diffusivity import variant_weights
+    from anisodiff.laplacian import LaplacianOperator
+
+    f = np.asarray(state.f, dtype=np.float64)
+    clamp_rows = np.nonzero(state.labeled_mask)[0]
+    clamp_values = f[clamp_rows].copy()
+    for _ in range(config.warm_start_steps):
+        f = LaplacianOperator(graph).step(f, config.delta)
+    recompute = config.mode == "nonlinear" and config.variant != "isotropic"
+    upper = graph.upper
+    energies = np.empty(config.T + 1)
+    g2 = _edge_sqnorms_gather(graph, f)
+    weights = variant_weights(graph, f, config.sigma_f, config.variant, sqnorms=g2)
+    energies[0] = float(weights.wD[upper] @ g2[upper])
+    for t in range(1, config.T + 1):
+        if t > 1 and recompute:
+            weights = variant_weights(graph, f, config.sigma_f, config.variant, sqnorms=g2)
+        f = LaplacianOperator(graph, weights).step(f, config.delta)
+        if config.clamp_labels:
+            f[clamp_rows] = clamp_values
+        g2 = _edge_sqnorms_gather(graph, f)
+        energies[t] = float(weights.wD[upper] @ g2[upper])
+    return f, energies
 
 
 def harmonic_bruteforce(W, f0, mask):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisodiff.diffusion import (
+    MODES,
     DiffusionConfig,
+    LabelState,
     decode_labels,
     euler_step,
     init_labels,
@@ -14,12 +18,17 @@ from anisodiff.diffusion import (
     warm_start,
     write_energy_trace,
 )
-from anisodiff.diffusivity import variant_weights
+from anisodiff.diffusivity import VARIANTS, variant_weights
 from anisodiff.errors import DivergenceError, InputError, ParameterError
 from anisodiff.graph import Graph
-from anisodiff.laplacian import regularizer_energy
+from anisodiff.laplacian import LaplacianOperator, regularizer_energy
 
-from oracles import dense_anisotropic_apply, dense_isotropic_apply, random_knn_graph
+from oracles import (
+    dense_anisotropic_apply,
+    dense_isotropic_apply,
+    random_knn_graph,
+    trajectory_rebuild,
+)
 
 
 def two_node_graph():
@@ -290,6 +299,100 @@ class TestSnapshots:
         )
         snaps = snapshots_at(cfg, g, state, [1, 400])
         assert 1 in snaps and 400 not in snaps
+
+
+class TestFusedLoopMatchesRebuild:
+    """One operator per trajectory and energies only where read change no bit."""
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_run_and_snapshots_match_rebuilding_loop(self, variant, mode, clamp):
+        rng = np.random.default_rng(58)
+        _, g = random_knn_graph(rng, 40, 5)
+        state = init_labels([(0, 0), (9, 1), (21, 2), (33, 1)], 40, 3)
+        config = DiffusionConfig(
+            K=5, T=12, sigma_f=0.3, warm_start_steps=3, variant=variant,
+            mode=mode, clamp_labels=clamp,
+        )
+        f_ref, energies_ref = trajectory_rebuild(config, g, state)
+        res = run_diffusion(config, g, state)
+        assert np.array_equal(res.f, f_ref)
+        assert np.array_equal(res.energies, energies_ref)
+        snaps = snapshots_at(config, g, state, range(config.T + 1))
+        for T in range(config.T + 1):
+            ref = run_diffusion(replace(config, T=T), g, state).f
+            assert np.array_equal(snaps[T], ref)
+
+
+class TestSharedGraphIsNeverWritten:
+    def test_runs_leave_weights_and_degrees_unchanged(self):
+        from anisodiff.data import split_labels, two_moons
+        from anisodiff.evaluation import GridSpec, grid_search
+        from anisodiff.graph import build_knn_graph
+
+        ds = two_moons(60, 0.15, seed=3)
+        g = build_knn_graph(ds.distance_matrix, 5)
+        data, degrees = g.weights.data.copy(), g.degrees.copy()
+        state = init_labels([(0, 0), (59, 1)], 60, 2)
+        for variant in ("plain", "smooth"):
+            cfg = DiffusionConfig(K=5, T=5, sigma_f=0.2, variant=variant, mode="nonlinear")
+            run_diffusion(cfg, g, state)
+        warm_start(g, state.f, 3, 1.0)
+        wd = variant_weights(g, state.f + 0.1, 0.2, "plain")
+        euler_step(g, state.f, 1.0, wd)
+        euler_step(g, state.f, 1.0)
+        grid = GridSpec(K_values=(5,), T_values=(2, 4), sigma_f_values=(0.1, 1.0))
+        grid_search(grid, ds, split_labels(ds, 4, 0), graph_cache={5: g})
+        assert np.array_equal(g.weights.data, data)
+        assert np.array_equal(g.degrees, degrees)
+
+    def test_interleaved_operators_match_fresh_ones(self):
+        rng = np.random.default_rng(59)
+        _, g = random_knn_graph(rng, 30, 4)
+        f = rng.normal(size=(30, 2))
+        fields = [variant_weights(g, rng.normal(size=(30, 2)), 0.3, v) for v in VARIANTS]
+        # two operators on one graph, each swapping fields between applies
+        a, b = LaplacianOperator(g, fields[2]), LaplacianOperator(g)
+        for k in range(8):
+            wa, wb = fields[k % 4], fields[(k + 1) % 4]
+            a.set_weights(wa)
+            got_a = a(f)
+            b.set_weights(wb)
+            got_b = b.step(f, 0.5)
+            assert np.array_equal(a(f), got_a)
+            assert np.array_equal(got_a, LaplacianOperator(g, wa)(f))
+            assert np.array_equal(got_b, LaplacianOperator(g, wb).step(f, 0.5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.sampled_from(["isotropic", "plain"]),
+    st.sampled_from(MODES),
+    st.booleans(),
+)
+def test_maximum_principle_isotropic_and_plain(seed, delta, variant, mode, clamp):
+    # q <= 1 gives rowsum_D(i) <= d_i, so at delta <= 1 each step is a convex
+    # combination of the previous values
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 50))
+    K = int(rng.integers(1, min(n - 1, 8) + 1))
+    _, g = random_knn_graph(rng, n, K)
+    c = int(rng.integers(1, 4))
+    f0 = rng.normal(size=(n, c))
+    mask = rng.random(n) < 0.3
+    config = DiffusionConfig(
+        K=K, T=int(rng.integers(1, 30)), sigma_f=float(rng.uniform(0.05, 2.0)),
+        delta=delta, warm_start_steps=int(rng.integers(0, 4)), variant=variant,
+        mode=mode, clamp_labels=clamp,
+    )
+    lo, hi = f0.min(axis=0) - 1e-12, f0.max(axis=0) + 1e-12
+    snaps = snapshots_at(config, g, LabelState(f0, mask, c), range(config.T + 1))
+    assert len(snaps) == config.T + 1
+    for f in snaps.values():
+        assert (f >= lo).all() and (f <= hi).all()
 
 
 class TestDecodeLabels:

@@ -24,6 +24,7 @@ from oracles import (
     min_cross_sqdist_blocked,
     random_knn_graph,
     smooth_weights_bruteforce,
+    smooth_weights_directed,
 )
 
 
@@ -124,11 +125,13 @@ class TestSmoothWeights:
         f = rng.normal(size=(4, 2))
         field = gaussian_diffusivity(g, f, 0.8)
         wd = smooth_weights(g, field)
+        # counts are per undirected edge, in the order of g.upper
         _, _, _, counts = g.mutual_structure
         plain = g.weights.data * field.q
-        empty = counts == 0
-        assert empty.any()
+        empty = g.upper[counts == 0]
+        assert empty.size
         assert np.array_equal(wd.wD[empty], plain[empty])
+        assert np.array_equal(wd.wD[g.mirror[empty]], plain[empty])
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(14)
@@ -140,6 +143,28 @@ class TestSmoothWeights:
             g.weights.toarray(), dense_field(g, field.q), g.neighborhoods
         )
         assert np.abs(dense_field(g, wd.wD) - oracle).max() < 1e-12
+
+    @pytest.mark.parametrize("K", [1, 3, 8])
+    def test_bitwise_equal_to_directed_mean_random_graphs(self, K):
+        rng = np.random.default_rng(70 + K)
+        for n in (K + 1, 40, 150):
+            _, g = random_knn_graph(rng, n, K)
+            for c, sigma_f in ((1, 0.05), (2, 0.3), (3, 2.0)):
+                field = gaussian_diffusivity(g, rng.normal(size=(n, c)), sigma_f)
+                expected = smooth_weights_directed(g, field)
+                assert np.array_equal(smooth_weights(g, field).wD, expected)
+
+    def test_bitwise_equal_to_directed_mean_duplicate_heavy(self):
+        from anisodiff.graph import build_knn_graph, pairwise_distances
+
+        rng = np.random.default_rng(63)
+        X = np.round(rng.normal(size=(300, 2)), 1)
+        g = build_knn_graph(pairwise_distances(X), 8)
+        # few distinct rows give many exactly equal diffusivities
+        for f in (rng.normal(size=(300, 2)), rng.integers(0, 2, size=(300, 2)).astype(float)):
+            field = gaussian_diffusivity(g, f, 0.2)
+            expected = smooth_weights_directed(g, field)
+            assert np.array_equal(smooth_weights(g, field).wD, expected)
 
     def test_exactly_symmetric_and_positive(self):
         rng = np.random.default_rng(15)

@@ -221,6 +221,17 @@ class TestGraphValidation:
         rows, cols = triangle.rows, triangle.weights.indices
         assert np.array_equal(rows[triangle.mirror], cols)
 
+    def test_undirected_edges_cover_both_directions(self):
+        rng = np.random.default_rng(3)
+        _, g = random_knn_graph(rng, 40, 5)
+        i, j, edge_of = g.undirected_edges
+        assert (i < j).all() and len(i) == g.weights.nnz // 2
+        pairs = set(zip(g.rows.tolist(), g.weights.indices.tolist()))
+        for p, e in enumerate(edge_of.tolist()):
+            r, c = int(g.rows[p]), int(g.weights.indices[p])
+            assert (min(r, c), max(r, c)) == (i[e], j[e])
+        assert pairs == set(zip(i.tolist(), j.tolist())) | set(zip(j.tolist(), i.tolist()))
+
     def test_cross_pairs_map_every_slot_to_its_unordered_pair(self):
         rng = np.random.default_rng(4)
         _, g = random_knn_graph(rng, 40, 5)
@@ -238,9 +249,18 @@ class TestGraphValidation:
 
 class TestStructuresMatchLoopReferences:
     @staticmethod
-    def _assert_matches(g):
+    def _upper_entries(g, structure):
+        """The entries of a directed mutual structure that belong to upper
+        edges, with edges renumbered in the order of g.upper."""
+        edge, pos_ik, pos_kj, counts = structure
+        index = np.full(g.weights.nnz, -1)
+        index[g.upper] = np.arange(len(g.upper))
+        keep = index[edge] >= 0
+        return index[edge][keep], pos_ik[keep], pos_kj[keep], counts[g.upper]
+
+    def _assert_matches(self, g):
         pairs = [(g.knn_positions, knn_positions_loop(g))]
-        pairs += zip(g.mutual_structure, mutual_structure_loop(g))
+        pairs += zip(g.mutual_structure, self._upper_entries(g, mutual_structure_loop(g)))
         for got, ref in pairs:
             assert np.array_equal(got, ref)
             assert got.dtype == np.int64 and got.flags.c_contiguous

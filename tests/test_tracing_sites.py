@@ -1,0 +1,57 @@
+"""The benchmark's span tracer still finds every package site it wraps.
+
+``perfbench/tracing.py`` wraps package attributes by name and silently skips
+a missing one, so a rename in ``src/`` would zero the per-layer metrics
+without failing the benchmark.  This test fails instead.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+EXPECTED_SPANS = {
+    "laplacian.build",
+    "laplacian.apply",
+    "diffusivity.sqnorms",
+    "diffusivity.smooth",
+    "diffusion.step",
+    "diffusion.warm_start",
+    "graph.mutual_structure",
+}
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_runs_record_every_layer_span():
+    from anisodiff import diffusion, evaluation, graph
+    from anisodiff.data import split_labels, two_moons
+
+    tracer = _load_tracing().Tracer()
+    ds = two_moons(40, 0.15, seed=2)
+    tracer.install()
+    try:
+        # graphs built after install, so their lazy structures are traced
+        g = graph.build_knn_graph(ds.distance_matrix, 4)
+        state = diffusion.init_labels([(0, 0), (39, 1)], 40, 2)
+        config = diffusion.DiffusionConfig(
+            K=4, T=3, sigma_f=0.2, warm_start_steps=2, variant="smooth", mode="nonlinear"
+        )
+        result = diffusion.run_diffusion(config, g, state)
+        grid = evaluation.GridSpec(
+            K_values=(4,), T_values=(1, 2), sigma_f_values=(0.5,), variant="smooth"
+        )
+        evaluation.grid_search(grid, ds, split_labels(ds, 4, 0))
+    finally:
+        tracer.uninstall()
+    assert np.isfinite(result.f).all()
+    names = {span[0] for span in tracer.spans}
+    assert EXPECTED_SPANS <= names, sorted(EXPECTED_SPANS - names)
+    assert "evaluation.grid_search.A_S" in names
