@@ -14,7 +14,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .graph import pairwise_distances, validate_distances, validate_features
+from .graph import (
+    max_asymmetry,
+    pairwise_distances,
+    validate_distances,
+    validate_features,
+)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -204,7 +209,7 @@ def read_distances(path) -> np.ndarray:
     )
     if dense_plausible:
         D = table
-        asym = np.abs(D - D.T).max()
+        asym = max_asymmetry(D)
         if asym > 1e-12:
             warnings.warn(
                 f"{path}: distances asymmetric by {asym:.3e}; averaging",

@@ -8,6 +8,7 @@ structure built here.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from functools import cached_property
 
@@ -23,6 +24,12 @@ from .errors import DegenerateDataError, NonEdgeError, ParameterError
 TINY = float(np.finfo(np.float64).tiny)
 
 DISTANCE_SYMMETRY_TOL = 1e-12
+
+# knn_neighborhoods ranks this many rows of D at a time, so its temporaries
+# are a few (rows, n) arrays rather than n x n
+_KNN_BLOCK_ROWS = 256
+# side of the square tiles max_asymmetry compares against their mirror
+_SYMMETRY_TILE = 128
 
 
 class ConnectivityWarning(UserWarning):
@@ -48,20 +55,38 @@ def validate_distances(dist) -> np.ndarray:
         raise ParameterError(f"distance matrix must be square, got shape {D.shape}")
     if D.shape[0] < 2:
         raise ParameterError("need at least 2 points")
-    if not np.isfinite(D).all():
+    # min propagates NaN and min/max reach any infinity, so two reductions
+    # answer both checks without an n x n boolean mask
+    lo, hi = D.min(), D.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ParameterError("distance matrix contains non-finite entries")
-    if (D < 0).any():
+    if lo < 0:
         raise ParameterError("distance matrix contains negative entries")
     if np.abs(np.diagonal(D)).max() > 0:
         raise ParameterError("distance matrix diagonal must be zero")
-    diff = D - D.T
-    asym = np.abs(diff, out=diff).max()
+    asym = max_asymmetry(D)
     if asym > DISTANCE_SYMMETRY_TOL:
         raise ParameterError(
             f"distance matrix asymmetric by {asym:.3e} "
             f"(tolerance {DISTANCE_SYMMETRY_TOL:.0e}); symmetrize it first"
         )
     return D
+
+
+def max_asymmetry(D) -> float:
+    """max |D - D^T| of a square array, NaN if any difference is NaN.
+
+    Compares each tile on or above the diagonal with its mirror, so no
+    n x n temporary is made; the maximum does not depend on that order.
+    """
+    n = D.shape[0]
+    t = _SYMMETRY_TILE
+    # np.max of the tile maxima propagates NaN, as one max over D - D^T does
+    return float(np.max([
+        np.abs(D[i : i + t, j : j + t] - D[j : j + t, i : i + t].T).max()
+        for i in range(0, n, t)
+        for j in range(i, n, t)
+    ]))
 
 
 def pairwise_distances(features) -> np.ndarray:
@@ -304,19 +329,40 @@ def knn_neighborhoods(dist, K: int) -> np.ndarray:
     """(n, K) nearest-neighbor index lists, self excluded.
 
     Lists are sorted by ascending distance; ties break by ascending index.
+    The result equals a stable full sort of every row, but each row costs a
+    partial selection unless a tie straddles its cutoff.
     """
     D = validate_distances(dist)
     n = D.shape[0]
+    try:
+        K = operator.index(K)
+    except TypeError:
+        raise ParameterError(f"K must be an integer, got {K!r}") from None
     if not 1 <= K <= n - 1:
         raise ParameterError(f"K must satisfy 1 <= K <= n-1 = {n - 1}, got {K}")
-    # stable sort of the natural index order == ascending-index tie-break
-    order = np.argsort(D, axis=1, kind="stable")[:, : K + 1]
-    # the zero diagonal sorts self among the first K + 1 unless more than K
-    # duplicates precede it; stably moving it last leaves the others in the
-    # order an infinite diagonal gives, without an n x n copy of D
-    is_self = order == np.arange(n)[:, None]
-    order = np.take_along_axis(order, np.argsort(is_self, axis=1, kind="stable"), axis=1)
-    return order[:, :K].astype(np.int64)
+    out = np.empty((n, K), dtype=np.int64)
+    for start in range(0, n, _KNN_BLOCK_ROWS):
+        block = D[start : start + _KNN_BLOCK_ROWS]
+        # the K + 1 smallest entries of each row, ordered by (distance, index)
+        cand = np.sort(np.argpartition(block, K, axis=1)[:, : K + 1], axis=1)
+        dist_cand = np.take_along_axis(block, cand, axis=1)
+        order = np.take_along_axis(
+            cand, np.argsort(dist_cand, axis=1, kind="stable"), axis=1
+        )
+        # they are the first K + 1 of a stable sort unless more entries share
+        # the cutoff distance; those rows take the stable sort itself
+        cutoff = dist_cand.max(axis=1, keepdims=True)
+        tied = np.count_nonzero(block <= cutoff, axis=1) > K + 1
+        if tied.any():
+            order[tied] = np.argsort(block[tied], axis=1, kind="stable")[:, : K + 1]
+        # the zero diagonal puts self among the K + 1 unless more than K
+        # duplicates precede it; stably moving it last leaves the others in
+        # the order an infinite diagonal gives
+        rows = np.arange(start, start + len(block))
+        is_self = order == rows[:, None]
+        order = np.take_along_axis(order, np.argsort(is_self, axis=1, kind="stable"), axis=1)
+        out[start : start + len(block)] = order[:, :K]
+    return out
 
 
 def auto_sigma_x(dist, neighborhoods) -> float:
@@ -364,7 +410,7 @@ def gaussian_weights(dist, sigma_x: float, neighborhoods) -> Graph:
 
 def build_knn_graph(dist, K: int, sigma_x: float | None = None) -> Graph:
     """Convenience: kNN lists, auto sigma_x unless given, Gaussian weights."""
-    # knn_neighborhoods validates D; a second pass would cost an n x n temporary
+    # knn_neighborhoods validates D; a second pass would only repeat its scans
     D = np.ascontiguousarray(dist, dtype=np.float64)
     nbrs = knn_neighborhoods(D, K)
     if sigma_x is None:

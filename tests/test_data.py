@@ -173,6 +173,18 @@ class TestFileFormats:
             D = read_distances(path)
         assert D[0, 1] == D[1, 0] == 1.25
 
+    def test_asymmetry_in_a_far_tile_averaged_with_warning(self, tmp_path):
+        from anisodiff.graph import pairwise_distances
+
+        D = pairwise_distances(np.random.default_rng(72).normal(size=(300, 2)))
+        D[150, 290] = 1.5
+        D[290, 150] = 1.75
+        path = tmp_path / "dist.txt"
+        write_features(D, path)
+        with pytest.warns(UserWarning, match=r"asymmetric by 2\.500e-01; averaging"):
+            got = read_distances(path)
+        assert got[150, 290] == got[290, 150] == 1.625
+
     def test_triplet_distances(self, tmp_path):
         path = tmp_path / "trip.txt"
         path.write_text("0 1 1.0\n0 2 2.0\n1 2 1.5\n")

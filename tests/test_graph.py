@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from anisodiff.errors import (
     ParameterError,
 )
 from anisodiff.graph import (
+    DISTANCE_SYMMETRY_TOL,
     Graph,
     auto_sigma_x,
     build_knn_graph,
@@ -98,6 +100,16 @@ class TestKnnNeighborhoods:
         with pytest.raises(ParameterError):
             knn_neighborhoods(D, K)
 
+    @pytest.mark.parametrize("K", [2.5, "3", None, np.float64(2.0)])
+    def test_k_not_an_integer(self, K):
+        D = dist_from_points([0.0, 1.0, 3.0, 6.0, 7.0])
+        with pytest.raises(ParameterError, match="K must be an integer"):
+            knn_neighborhoods(D, K)
+
+    def test_numpy_integer_k(self):
+        D = dist_from_points([0.0, 1.0, 3.0, 6.0, 7.0])
+        assert np.array_equal(knn_neighborhoods(D, np.int64(2)), knn_bruteforce(D, 2))
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.integers(min_value=3, max_value=40),
@@ -108,6 +120,50 @@ class TestKnnNeighborhoods:
         D = pairwise_distances(rng.normal(size=(n, 2)))
         K = int(rng.integers(1, n))
         assert np.array_equal(knn_neighborhoods(D, K), knn_bruteforce(D, K))
+
+
+class TestKnnAcrossBlocks:
+    """Inputs with more rows than one selection block, ties everywhere."""
+
+    @staticmethod
+    def check(D, Ks):
+        n = D.shape[0]
+        full = knn_bruteforce(D, n - 1)  # each K's lists are a prefix of these
+        for K in Ks:
+            assert np.array_equal(knn_neighborhoods(D, K), full[:, :K]), K
+
+    def test_integer_grid_every_row_tied(self):
+        # 700 points on a 3 x 3 grid: about 78 duplicates per cell, so every
+        # row has a tie at its cutoff and more than K duplicates around self
+        i = np.arange(700)
+        D = pairwise_distances(np.stack([i % 3, (i // 3) % 3], axis=1))
+        self.check(D, (1, 5, 30, 699))
+
+    def test_rounded_normal_duplicates(self):
+        X = np.round(np.random.default_rng(7).normal(size=(650, 2)), 1)
+        D = pairwise_distances(X)
+        self.check(D, (1, 4, 10, 25, 649))
+
+    def test_all_identical_points(self):
+        D = np.zeros((600, 600))
+        self.check(D, (1, 9, 599))
+
+    def test_distinct_points(self):
+        D = pairwise_distances(np.random.default_rng(8).normal(size=(600, 3)))
+        self.check(D, (1, 10, 300, 599))
+
+
+def test_build_knn_graph_memory_is_below_the_distance_matrix():
+    # graph set-up may keep a few row blocks, never an n x n temporary;
+    # tracemalloc sees numpy's allocations
+    D = pairwise_distances(np.random.default_rng(0).normal(size=(2000, 2)))
+    tracemalloc.start()
+    try:
+        build_knn_graph(D, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * D.nbytes
 
 
 class TestAutoSigmaX:
@@ -349,6 +405,44 @@ class TestValidateDistances:
     def test_rejects_negative(self):
         D = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(ParameterError):
+            validate_distances(D)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        D = np.array([[0.0, 1.0], [1.0, 0.0]])
+        D[0, 1] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            validate_distances(D)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ParameterError, match="must be square"):
+            validate_distances(np.zeros(shape))
+
+    def test_asymmetry_in_one_far_tile(self):
+        D = pairwise_distances(np.random.default_rng(4).normal(size=(700, 2)))
+        D[450, 600] = 1.5
+        D[600, 450] = 1.75
+        with pytest.raises(
+            ParameterError, match=r"asymmetric by 2\.500e-01 \(tolerance 1e-12\)"
+        ):
+            validate_distances(D)
+
+    def test_asymmetry_at_tolerance_accepted(self):
+        D = pairwise_distances(np.random.default_rng(5).normal(size=(300, 2)))
+        D[20, 280] = DISTANCE_SYMMETRY_TOL
+        D[280, 20] = 0.0
+        validate_distances(D)
+        D[20, 280] = np.nextafter(DISTANCE_SYMMETRY_TOL, 1.0)
+        with pytest.raises(ParameterError, match="asymmetric"):
+            validate_distances(D)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_reported_before_negative(self, bad):
+        D = pairwise_distances(np.random.default_rng(6).normal(size=(700, 2)))
+        D[690, 5] = bad
+        D[1, 2] = -1.0
+        with pytest.raises(ParameterError, match="non-finite"):
             validate_distances(D)
 
 
