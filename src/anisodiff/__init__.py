@@ -14,14 +14,12 @@ from .diffusion import (
     DiffusionResult,
     LabelState,
     decode_labels,
-    euler_step,
     init_labels,
     run_diffusion,
     warm_start,
 )
 from .diffusivity import (
     AnisotropicWeights,
-    DiffusivityField,
     gaussian_diffusivity,
     local_match_weights,
     plain_weights,
@@ -45,11 +43,6 @@ from .graph import (
     knn_neighborhoods,
     pairwise_distances,
 )
-from .laplacian import (
-    LaplacianOperator,
-    apply_anisotropic,
-    apply_isotropic,
-    regularizer_energy,
-)
+from .laplacian import LaplacianOperator, regularizer_energy
 
 __version__ = "0.1.0"

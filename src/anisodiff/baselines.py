@@ -13,15 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import splu
 
 from .diffusion import LabelState
 from .errors import ShapeError, UnlabeledComponentError
 from .graph import Graph
-
-# systems smaller than this are solved densely; larger ones iteratively
-DENSE_SOLVE_LIMIT = 200
-CG_TOLERANCE = 1e-10
 
 
 @dataclass
@@ -43,38 +39,18 @@ def grf_harmonic(graph: Graph, state: LabelState) -> HarmonicSolution:
     if mask.all():
         return HarmonicSolution(f.copy(), mask.copy())
 
+    # the lowest-id component with no labeled node makes the system singular
     _, comp = connected_components(graph.weights, directed=False)
-    for cid in range(comp.max() + 1):
-        members = np.nonzero(comp == cid)[0]
-        if not mask[members].any():
-            raise UnlabeledComponentError(members)
+    unlabeled = np.bincount(comp[mask], minlength=comp.max() + 1) == 0
+    if unlabeled.any():
+        raise UnlabeledComponentError(np.nonzero(comp == np.argmax(unlabeled))[0])
 
     u = np.nonzero(~mask)[0]
-    l = np.nonzero(mask)[0]
-    W = sp.csr_matrix(graph.weights)
-    Wuu = W[u][:, u]
-    Wul = W[u][:, l]
-    # full degrees (labeled neighbors included) on the diagonal
-    deg_u = graph.degrees[u]
-    b = Wul @ f[l]
-    A = sp.diags(deg_u) - Wuu
-
-    if len(u) < DENSE_SOLVE_LIMIT:
-        fu = np.linalg.solve(A.toarray(), b)
-    else:
-        # symmetric Jacobi scaling keeps the residual criterion meaningful
-        # for nodes whose degrees differ by many orders of magnitude
-        s = 1.0 / np.sqrt(deg_u)
-        S = sp.diags(s)
-        As = (S @ A @ S).tocsr()
-        fu = np.empty_like(b)
-        for col in range(b.shape[1]):
-            y, info = cg(As, s * b[:, col], rtol=0.0, atol=CG_TOLERANCE, maxiter=20 * len(u))
-            if info != 0:
-                # SPD by construction; fall back to a direct solve if CG stalls
-                fu[:, col] = np.linalg.solve(A.toarray(), b[:, col])
-            else:
-                fu[:, col] = s * y
+    Wu = sp.csr_matrix(graph.weights)[u]
+    # full degrees (labeled neighbors included) on the diagonal; one LU
+    # factorization solves every class column at once
+    A = sp.diags(graph.degrees[u]) - Wu[:, u]
+    fu = splu(A.tocsc()).solve(Wu[:, mask] @ f[mask])
 
     out = f.copy()
     out[u] = fu

@@ -46,16 +46,26 @@ VARIANT_FLAGS = {
     "match": "local_match",
 }
 
-CONFIG_KEYS = (
-    "K",
-    "sigma_f",
-    "delta",
-    "T",
-    "warm_start",
-    "variant",
-    "mode",
-    "clamp_labels",
-)
+_CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _config_bool(raw: str) -> bool:
+    if raw.lower() not in _CONFIG_BOOLS:
+        raise ValueError(f"expected one of {'/'.join(_CONFIG_BOOLS)}, got {raw!r}")
+    return _CONFIG_BOOLS[raw.lower()]
+
+
+# --config keys and the parser of each value
+CONFIG_KEYS = {
+    "K": int,
+    "sigma_f": float,
+    "delta": float,
+    "T": int,
+    "warm_start": int,
+    "variant": str,
+    "mode": str,
+    "clamp_labels": _config_bool,
+}
 
 
 def _add_data_flags(p):
@@ -148,7 +158,10 @@ def _apply_config_file(parser, args, argv):
     if getattr(args, "config", None) is None:
         return
     _require_file(parser, args.config, "config")
-    entries = datamod.read_manifest(args.config)
+    try:
+        entries = datamod.read_manifest(args.config)
+    except InputError as exc:
+        parser.error(str(exc))
     seen = set()
     for token in argv:
         if token.startswith("--"):
@@ -160,14 +173,10 @@ def _apply_config_file(parser, args, argv):
             )
         if key in seen:
             continue  # explicit flag wins
-        if key in ("K", "T", "warm_start"):
-            value = int(raw)
-        elif key in ("sigma_f", "delta"):
-            value = float(raw)
-        elif key == "clamp_labels":
-            value = raw.lower() in ("1", "true", "yes")
-        else:
-            value = raw
+        try:
+            value = CONFIG_KEYS[key](raw)
+        except ValueError as exc:
+            parser.error(f"config key {key!r}: {exc}")
         if key == "variant" and value not in VARIANT_FLAGS:
             parser.error(f"config variant must be one of {sorted(VARIANT_FLAGS)}")
         setattr(args, key, value)
@@ -310,6 +319,8 @@ def cmd_benchmark(parser, args) -> int:
         )
     except (ValueError, ParameterError) as exc:
         parser.error(str(exc))
+    if not seeds:
+        parser.error("--seeds must name at least one seed")
     D = _load_distances(parser, args)
     _require_file(parser, args.labels, "labels")
     labels, mapping = datamod.read_labels(args.labels, D.shape[0])

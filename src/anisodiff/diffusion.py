@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffusivity import VARIANTS, AnisotropicWeights, edge_sqnorms, variant_weights
+from .diffusivity import VARIANTS, edge_sqnorms, variant_weights
 from .errors import DivergenceError, InputError, ParameterError
 from .graph import Graph
 from .laplacian import LaplacianOperator
@@ -97,19 +97,12 @@ def init_labels(labels, n: int, c: int) -> LabelState:
     return LabelState(f, mask, c)
 
 
-def euler_step(
-    graph: Graph, f, delta: float, weights: AnisotropicWeights | None = None
-) -> np.ndarray:
-    """One explicit Euler step f - delta * L^D f (isotropic when weights=None)."""
-    if not delta > 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
-    return LaplacianOperator(graph, weights).step(np.asarray(f, dtype=np.float64), delta)
-
-
 def warm_start(graph: Graph, f0, steps: int, delta: float) -> np.ndarray:
     """Run `steps` isotropic Euler steps to smooth the initial distribution."""
     if steps < 0:
         raise ParameterError("steps must be >= 0")
+    if not delta > 0:
+        raise ParameterError(f"delta must be positive, got {delta}")
     f = np.array(f0, dtype=np.float64)
     if steps == 0:
         return f

@@ -22,14 +22,6 @@ VARIANTS = ("isotropic", "plain", "smooth", "local_match")
 
 
 @dataclass(frozen=True)
-class DiffusivityField:
-    """Per-edge diffusivity eigenvalues aligned with the graph CSR data."""
-
-    q: np.ndarray
-    sigma_f: float
-
-
-@dataclass(frozen=True)
 class AnisotropicWeights:
     """Per-edge anisotropic weights w^D aligned with the graph CSR data."""
 
@@ -58,15 +50,19 @@ def edge_sqnorms(graph: Graph, f) -> np.ndarray:
     return np.einsum("ec,ec->e", diff, diff)[edge_of]
 
 
-def _field_from_sqnorms(graph: Graph, g2, sigma_f: float) -> DiffusivityField:
+def _check_sigma_f(sigma_f: float) -> None:
     if not sigma_f > 0:
         raise ParameterError(f"sigma_f must be positive, got {sigma_f}")
+
+
+def _field_from_sqnorms(graph: Graph, g2, sigma_f: float) -> np.ndarray:
+    _check_sigma_f(sigma_f)
     q = np.exp(-(graph.weights.data * g2) / (sigma_f * sigma_f))
-    return DiffusivityField(np.maximum(q, TINY), float(sigma_f))
+    return np.maximum(q, TINY)
 
 
-def gaussian_diffusivity(graph: Graph, f, sigma_f: float) -> DiffusivityField:
-    """q_ij = exp(-|grad_i f(e_ij)|^2 / sigma_f^2).
+def gaussian_diffusivity(graph: Graph, f, sigma_f: float) -> np.ndarray:
+    """q_ij = exp(-|grad_i f(e_ij)|^2 / sigma_f^2) per stored edge.
 
     The squared edge gradient is w_ij * ||f(j) - f(i)||^2 with the Euclidean
     norm taken across the c output channels.  Values are floored at the
@@ -75,8 +71,8 @@ def gaussian_diffusivity(graph: Graph, f, sigma_f: float) -> DiffusivityField:
     return _field_from_sqnorms(graph, edge_sqnorms(graph, f), sigma_f)
 
 
-def _check_field(graph: Graph, field: DiffusivityField) -> np.ndarray:
-    q = np.asarray(field.q, dtype=np.float64)
+def _check_q(graph: Graph, q) -> np.ndarray:
+    q = np.asarray(q, dtype=np.float64)
     if q.shape != (graph.weights.nnz,):
         raise ShapeError(
             f"diffusivity has {q.shape} entries, graph stores {graph.weights.nnz}"
@@ -91,13 +87,13 @@ def symmetrize(graph: Graph, weights: AnisotropicWeights) -> AnisotropicWeights:
     return AnisotropicWeights(sym, weights.variant)
 
 
-def plain_weights(graph: Graph, field: DiffusivityField) -> AnisotropicWeights:
+def plain_weights(graph: Graph, q) -> AnisotropicWeights:
     """w^D_ij = w_ij * q_ij."""
-    q = _check_field(graph, field)
+    q = _check_q(graph, q)
     return AnisotropicWeights(graph.weights.data * q, "plain")
 
 
-def smooth_weights(graph: Graph, field: DiffusivityField) -> AnisotropicWeights:
+def smooth_weights(graph: Graph, q) -> AnisotropicWeights:
     """Average the diffusivity over the mutual neighborhood of each edge.
 
     w^D_ij = sum_{k in N_K(i) & N_K(j)} w_ij (q_ij + q_ik q_kj) / (s_i + s_j)
@@ -107,7 +103,7 @@ def smooth_weights(graph: Graph, field: DiffusivityField) -> AnisotropicWeights:
     gives, the formula is symmetric in i and j term by term and in the same
     order of k, so it is evaluated once per undirected edge.
     """
-    q = _check_field(graph, field)
+    q = _check_q(graph, q)
     edge, pos_ik, pos_kj, counts = graph.mutual_structure
     i, j, edge_of = graph.undirected_edges
     s = q[graph.knn_positions].sum(axis=1)
@@ -135,25 +131,25 @@ def _min_cross_sqdist(graph: Graph, f) -> np.ndarray:
     return np.einsum("uc,uc->u", diff, diff)[cross_map].min(axis=0)
 
 
-def local_match_weights(
-    graph: Graph, field: DiffusivityField, f
-) -> AnisotropicWeights:
+def local_match_weights(graph: Graph, q, f, sigma_f: float) -> AnisotropicWeights:
     """Boost an edge by how well the endpoint neighborhoods match.
 
     w^D_ij = w_ij q_ij sum_{k in N_K(i)} (1 + q*_ik) / (K + 1) where q*_ik is
     the best unit-weight diffusivity exp(-||f(k) - f(l)||^2 / sigma_f^2) over
     l in N_K(j); the (k, l) pairs need not be graph edges, so no edge-weight
     factor enters the cross terms.  The directed evaluations (i, j) and
-    (j, i) differ, and the result is their arithmetic mean.
+    (j, i) differ, and the result is their arithmetic mean.  ``sigma_f``
+    is the scale that ``q`` was computed with.
     """
     if graph.neighborhoods is None:
         raise ParameterError("local-match weights need a kNN-built graph")
-    q = _check_field(graph, field)
+    _check_sigma_f(sigma_f)
+    q = _check_q(graph, q)
     f = _check_f(graph, f)
     K = graph.neighborhoods.shape[1]
     _, _, slot_map = graph.match_structure
     mu = _min_cross_sqdist(graph, f)
-    qstar = np.exp(-mu / (field.sigma_f * field.sigma_f))
+    qstar = np.exp(-mu / (sigma_f * sigma_f))
     boost = (K + qstar[slot_map].sum(axis=1)) / (K + 1.0)
     wd = graph.weights.data * q * boost
     return symmetrize(graph, AnisotropicWeights(wd, "local_match"))
@@ -174,9 +170,9 @@ def variant_weights(
         return AnisotropicWeights(graph.weights.data, "isotropic")
     if sqnorms is None:
         sqnorms = edge_sqnorms(graph, f)
-    field = _field_from_sqnorms(graph, sqnorms, sigma_f)
+    q = _field_from_sqnorms(graph, sqnorms, sigma_f)
     if variant == "plain":
-        return plain_weights(graph, field)
+        return plain_weights(graph, q)
     if variant == "smooth":
-        return smooth_weights(graph, field)
-    return local_match_weights(graph, field, f)
+        return smooth_weights(graph, q)
+    return local_match_weights(graph, q, f, sigma_f)

@@ -184,6 +184,8 @@ def benchmark(
         if m not in METHODS:
             raise ParameterError(f"unknown method {m!r}; valid: {', '.join(METHODS)}")
     seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ParameterError("seeds must name at least one seed")
     l = 2 * dataset.c if train_labels is None else int(train_labels)
     y = dataset.labels
     cache: dict = {}

@@ -69,16 +69,6 @@ class LaplacianOperator:
         return out
 
 
-def apply_isotropic(graph: Graph, f) -> np.ndarray:
-    """[Lf](i) = f(i) - (1/d_i) sum_j w_ji f(j)."""
-    return LaplacianOperator(graph)(f)
-
-
-def apply_anisotropic(graph: Graph, weights: AnisotropicWeights, f) -> np.ndarray:
-    """[L^D f](i) with isotropic-degree normalization."""
-    return LaplacianOperator(graph, weights)(f)
-
-
 def regularizer_energy(
     graph: Graph, weights: AnisotropicWeights | None, f
 ) -> float:

@@ -191,13 +191,12 @@ def mutual_structure_loop(graph):
     )
 
 
-def smooth_weights_directed(graph, field):
+def smooth_weights_directed(graph, q):
     """The smooth field on every stored (i, j), then the mean with (j, i).
 
     Same float operations as the per-undirected-edge package code, over the
     directed layout of :func:`mutual_structure_loop`.
     """
-    q = field.q
     edge_ids, pos_ik, pos_kj, counts = mutual_structure_loop(graph)
     s = q[knn_positions_loop(graph)].sum(axis=1)
     denom = s[graph.rows] + s[graph.weights.indices]

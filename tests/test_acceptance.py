@@ -59,12 +59,12 @@ def test_criterion_1_null_space(null_space_graphs):
     worst = 0.0
     for g, rng in null_space_graphs:
         ones = np.ones((g.n, 1))
-        worst = max(worst, float(np.abs(ad.apply_isotropic(g, ones)).max()))
+        worst = max(worst, float(np.abs(ad.LaplacianOperator(g)(ones)).max()))
         f0 = rng.normal(size=(g.n, 3))
         for variant in VARIANTS:
             wd = variant_weights(g, f0, 0.3, variant)
             worst = max(
-                worst, float(np.abs(ad.apply_anisotropic(g, wd, ones)).max())
+                worst, float(np.abs(ad.LaplacianOperator(g, wd)(ones)).max())
             )
     elapsed = time.perf_counter() - t0
     _report(
@@ -87,7 +87,7 @@ def test_criterion_2_pd_condition(null_space_graphs):
         for k in range(100):
             f = rng.normal(size=(g.n, 2))
             wd = wds[k % len(wds)]
-            Lf = ad.apply_anisotropic(g, wd, f)
+            Lf = ad.LaplacianOperator(g, wd)(f)
             form = float(np.sum(g.degrees[:, None] * f * Lf))
             worst_form = min(worst_form, form)
     _report(
@@ -113,16 +113,16 @@ def test_criterion_3_oracle_equivalence():
         f = rng.normal(size=(n, c))
         sigma_f = float(rng.uniform(0.2, 1.0))
 
-        out = ad.apply_isotropic(g, f)
+        out = ad.LaplacianOperator(g)(f)
         worst_sparse = max(
             worst_sparse,
             float(np.abs(out - dense_isotropic_apply(W, g.degrees, f)).max()),
         )
 
-        field = ad.gaussian_diffusivity(g, f, sigma_f)
+        q = ad.gaussian_diffusivity(g, f, sigma_f)
         Q = gaussian_diffusivity_bruteforce(W, f, sigma_f)
 
-        wd_s = ad.smooth_weights(g, field)
+        wd_s = ad.smooth_weights(g, q)
         dense_s = np.zeros((n, n))
         dense_s[g.rows, g.weights.indices] = wd_s.wD
         worst_sparse = max(
@@ -130,7 +130,7 @@ def test_criterion_3_oracle_equivalence():
             float(np.abs(dense_s - smooth_weights_bruteforce(W, Q, g.neighborhoods)).max()),
         )
 
-        wd_lm = ad.local_match_weights(g, field, f)
+        wd_lm = ad.local_match_weights(g, q, f, sigma_f)
         dense_lm = np.zeros((n, n))
         dense_lm[g.rows, g.weights.indices] = wd_lm.wD
         worst_sparse = max(
@@ -143,7 +143,7 @@ def test_criterion_3_oracle_equivalence():
             ),
         )
 
-        out = ad.apply_anisotropic(g, wd_s, f)
+        out = ad.LaplacianOperator(g, wd_s)(f)
         WD = np.zeros((n, n))
         WD[g.rows, g.weights.indices] = wd_s.wD
         worst_sparse = max(
@@ -181,7 +181,7 @@ def test_criterion_4_energy_descent():
         wd = variant_weights(g, f, 0.5, VARIANTS[trial % 3])
         prev = ad.regularizer_energy(g, wd, f)
         for _ in range(100):
-            f = ad.euler_step(g, f, 0.4, wd)
+            f = ad.LaplacianOperator(g, wd).step(f, 0.4)
             e = ad.regularizer_energy(g, wd, f)
             worst_rise = max(worst_rise, e - prev)
             prev = e

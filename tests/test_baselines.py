@@ -43,8 +43,7 @@ class TestGrfHarmonic:
         ref = harmonic_bruteforce(g.weights.toarray(), state.f, state.labeled_mask)
         assert np.abs(sol.f - ref).max() < 1e-8
 
-    def test_iterative_path_matches_dense(self):
-        # force the CG path by exceeding the dense-solve threshold
+    def test_larger_system_matches_dense(self):
         rng = np.random.default_rng(61)
         _, g = random_knn_graph(rng, 260, 6)
         labels = [(int(i), int(i % 2)) for i in rng.choice(260, 10, replace=False)]
@@ -52,6 +51,19 @@ class TestGrfHarmonic:
         sol = grf_harmonic(g, state)
         ref = harmonic_bruteforce(g.weights.toarray(), state.f, state.labeled_mask)
         assert np.abs(sol.f - ref).max() < 1e-7
+
+    def test_ten_class_blobs_match_dense_oracle(self):
+        from anisodiff.data import gaussian_blobs, split_labels
+        from anisodiff.graph import build_knn_graph
+
+        ds = gaussian_blobs(300, 10, 4.0, 5, seed=3)
+        g = build_knn_graph(ds.distance_matrix, 10)
+        assert g.num_components == 1
+        split = split_labels(ds, 30, seed=0)
+        state = init_labels(zip(split.train, ds.labels[split.train]), ds.n, ds.c)
+        sol = grf_harmonic(g, state)
+        ref = harmonic_bruteforce(g.weights.toarray(), state.f, state.labeled_mask)
+        assert np.abs(sol.f - ref).max() < 1e-10
 
     def test_maximum_principle(self):
         rng = np.random.default_rng(62)
@@ -95,6 +107,22 @@ class TestGrfHarmonic:
         with pytest.raises(UnlabeledComponentError) as exc:
             grf_harmonic(g, state)
         assert set(exc.value.component_nodes) == {2, 3}
+
+    def test_error_names_lowest_unlabeled_component(self):
+        # components {0, 1}, {2, 3, 4} and {5, 6}; only the last one labeled
+        W = np.zeros((7, 7))
+        for i, j in ((0, 1), (2, 3), (3, 4), (5, 6)):
+            W[i, j] = W[j, i] = 1.0
+        with pytest.warns(UserWarning):
+            g = Graph(sp.csr_array(W))
+        state = init_labels([(6, 1)], 7, 2)
+        with pytest.raises(UnlabeledComponentError) as exc:
+            grf_harmonic(g, state)
+        assert exc.value.component_nodes == [0, 1]
+        state = init_labels([(1, 0), (6, 1)], 7, 2)
+        with pytest.raises(UnlabeledComponentError) as exc:
+            grf_harmonic(g, state)
+        assert exc.value.component_nodes == [2, 3, 4]
 
     def test_decode_on_separated_clusters(self):
         from anisodiff.data import gaussian_blobs

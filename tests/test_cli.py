@@ -152,6 +152,38 @@ class TestPropagate:
         # --T flag wins over config T=5: trace has warm(1 line for t=0) + 2 steps
         assert len(trace.read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("K=abc", "'K'"),
+            ("sigma_f=wide", "'sigma_f'"),
+            ("warm_start=2.5", "'warm_start'"),
+            ("clamp_labels=maybe", "'clamp_labels'"),
+            ("no equals sign", "expected key=value"),
+        ],
+    )
+    def test_bad_config_value_usage_error(self, tmp_path, capsys, line, key):
+        out = synth_moons(tmp_path)
+        train = tmp_path / "train.txt"
+        train.write_text("0 0\n79 1\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"T=2\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                ["propagate", "--features", out / "features.txt", "--labels", train,
+                 "--config", cfg, "--out", tmp_path / "p.txt"]
+            )
+        assert exc.value.code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "p.txt").exists()
+
+    def test_config_clamp_labels_spellings(self):
+        from anisodiff.cli import CONFIG_KEYS
+
+        parse = CONFIG_KEYS["clamp_labels"]
+        spellings = ("1", "true", "YES", "0", "False", "no")
+        assert [parse(raw) for raw in spellings] == [True] * 3 + [False] * 3
+
     def test_energy_trace_written(self, tmp_path):
         out = synth_moons(tmp_path)
         train = tmp_path / "train.txt"
@@ -239,6 +271,19 @@ class TestBenchmark:
 
         report = parse_report_kv((tmp_path / "r1.kv").read_text())
         assert [r.method for r in report.rows] == ["I", "GRF"]
+
+    @pytest.mark.parametrize("seeds", ["", ","])
+    def test_empty_seed_list_usage_error(self, tmp_path, capsys, seeds):
+        out = synth_moons(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                ["benchmark", "--features", out / "features.txt",
+                 "--labels", out / "labels.txt", "--methods", "I",
+                 "--seeds", seeds, "--out", tmp_path / "r"]
+            )
+        assert exc.value.code == 2
+        assert "--seeds must name at least one seed" in capsys.readouterr().err
+        assert not (tmp_path / "r.kv").exists()
 
     def test_unknown_method_usage_error(self, tmp_path, capsys):
         out = synth_moons(tmp_path)

@@ -11,7 +11,6 @@ from anisodiff.diffusion import (
     DiffusionConfig,
     LabelState,
     decode_labels,
-    euler_step,
     init_labels,
     run_diffusion,
     snapshots_at,
@@ -70,13 +69,13 @@ class TestEulerStep:
         rng = np.random.default_rng(40)
         _, g = random_knn_graph(rng, 20, 3)
         f = np.full((20, 2), 0.5)
-        out = euler_step(g, f, 1.0)
+        out = LaplacianOperator(g).step(f, 1.0)
         assert np.abs(out - f).max() < 1e-12
 
     def test_two_node_hand_value(self):
         g = two_node_graph()
         f = np.array([[1.0], [0.0]])
-        out = euler_step(g, f, 1.0)
+        out = LaplacianOperator(g).step(f, 1.0)
         assert out[:, 0].tolist() == [0.0, 1.0]
 
     def test_matches_dense_step_oracle(self):
@@ -84,7 +83,7 @@ class TestEulerStep:
         _, g = random_knn_graph(rng, 50, 5)
         f = rng.normal(size=(50, 2))
         wd = variant_weights(g, f, 0.4, "plain")
-        out = euler_step(g, f, 0.7, wd)
+        out = LaplacianOperator(g, wd).step(f, 0.7)
         WD = np.zeros((50, 50))
         WD[g.rows, g.weights.indices] = wd.wD
         oracle = f - 0.7 * dense_anisotropic_apply(WD, g.degrees, f)
@@ -95,7 +94,7 @@ class TestEulerStep:
         f = np.array([[1.0], [0.0]])
         with pytest.raises(DivergenceError, match="1000"):
             for _ in range(400):
-                f = euler_step(g, f, 1000.0)
+                f = LaplacianOperator(g).step(f, 1000.0)
 
     def test_one_dimensional_f_is_one_column(self):
         rng = np.random.default_rng(46)
@@ -103,8 +102,8 @@ class TestEulerStep:
         f = rng.normal(size=30)
         wd = variant_weights(g, f, 0.3, "smooth")
         for weights in (None, wd):
-            flat = euler_step(g, f, 0.5, weights)
-            column = euler_step(g, f[:, None], 0.5, weights)
+            flat = LaplacianOperator(g, weights).step(f, 0.5)
+            column = LaplacianOperator(g, weights).step(f[:, None], 0.5)
             assert flat.shape == (30, 1)
             assert np.array_equal(flat, column)
 
@@ -113,7 +112,7 @@ class TestEulerStep:
         _, g = random_knn_graph(rng, 60, 5)
         f = rng.normal(size=(60, 3))
         wd = variant_weights(g, f, 0.3, "smooth")
-        out = euler_step(g, f, 1.0, wd)
+        out = LaplacianOperator(g, wd).step(f, 1.0)
         before = g.degrees @ f
         after = g.degrees @ out
         assert np.abs(after - before).max() < 1e-10
@@ -131,6 +130,13 @@ class TestWarmStart:
         _, g = random_knn_graph(rng, 15, 3)
         f0 = np.full((15, 2), 2.0)
         assert np.abs(warm_start(g, f0, 30, 1.0) - f0).max() < 1e-10
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    @pytest.mark.parametrize("delta", [0.0, -0.5])
+    def test_rejects_nonpositive_delta(self, steps, delta):
+        g = two_node_graph()
+        with pytest.raises(ParameterError, match="delta must be positive"):
+            warm_start(g, np.zeros((2, 1)), steps, delta)
 
     @pytest.mark.parametrize("steps", [1, 5])
     def test_one_dimensional_f_is_one_column(self, steps):
@@ -218,7 +224,7 @@ class TestRunDiffusion:
             wd = variant_weights(g, f, 0.5, "plain")
             energies = [regularizer_energy(g, wd, f)]
             for _ in range(100):
-                f = euler_step(g, f, 0.4, wd)
+                f = LaplacianOperator(g, wd).step(f, 0.4)
                 energies.append(regularizer_energy(g, wd, f))
             diffs = np.diff(energies)
             assert (diffs <= 1e-10).all()
@@ -340,8 +346,8 @@ class TestSharedGraphIsNeverWritten:
             run_diffusion(cfg, g, state)
         warm_start(g, state.f, 3, 1.0)
         wd = variant_weights(g, state.f + 0.1, 0.2, "plain")
-        euler_step(g, state.f, 1.0, wd)
-        euler_step(g, state.f, 1.0)
+        LaplacianOperator(g, wd).step(state.f, 1.0)
+        LaplacianOperator(g).step(state.f, 1.0)
         grid = GridSpec(K_values=(5,), T_values=(2, 4), sigma_f_values=(0.1, 1.0))
         grid_search(grid, ds, split_labels(ds, 4, 0), graph_cache={5: g})
         assert np.array_equal(g.weights.data, data)
@@ -434,7 +440,7 @@ def test_constant_preserved_by_every_variant(seed):
     f = np.full((n, 2), float(rng.normal()))
     for variant in ("plain", "smooth", "local_match"):
         wd = variant_weights(g, f, 0.5, variant)
-        out = euler_step(g, f, 1.0, wd)
+        out = LaplacianOperator(g, wd).step(f, 1.0)
         assert np.abs(out - f).max() < 1e-12
 
 

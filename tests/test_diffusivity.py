@@ -38,8 +38,8 @@ def dense_field(graph, values):
 class TestGaussianDiffusivity:
     def test_equal_values_give_one(self, triangle):
         f = np.tile([1.5, -2.0], (3, 1))
-        field = gaussian_diffusivity(triangle, f, 0.3)
-        assert np.array_equal(field.q, np.ones(triangle.weights.nnz))
+        q = gaussian_diffusivity(triangle, f, 0.3)
+        assert np.array_equal(q, np.ones(triangle.weights.nnz))
 
     def test_unit_weight_norm_equal_sigma(self):
         D = np.zeros((2, 2))  # w = 1 edge
@@ -48,25 +48,25 @@ class TestGaussianDiffusivity:
         g = gaussian_weights(D, 1.0, knn_neighborhoods(D, 1))
         sigma_f = 0.7
         f = np.array([[0.0], [sigma_f]])  # ||f(j)-f(i)||^2 = sigma_f^2
-        field = gaussian_diffusivity(g, f, sigma_f)
-        assert field.q == pytest.approx([math.exp(-1)] * 2, rel=1e-15)
+        q = gaussian_diffusivity(g, f, sigma_f)
+        assert q == pytest.approx([math.exp(-1)] * 2, rel=1e-15)
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(10)
         _, g = random_knn_graph(rng, 30, 4)
         f = rng.normal(size=(30, 3))
-        field = gaussian_diffusivity(g, f, 0.5)
+        q = gaussian_diffusivity(g, f, 0.5)
         Q = gaussian_diffusivity_bruteforce(g.weights.toarray(), f, 0.5)
-        assert np.abs(dense_field(g, field.q) - Q).max() < 1e-12
+        assert np.abs(dense_field(g, q) - Q).max() < 1e-12
 
     def test_bounds_and_exact_symmetry(self):
         rng = np.random.default_rng(11)
         _, g = random_knn_graph(rng, 60, 6)
         for scale in (1e-3, 1.0, 1e3):
             f = scale * rng.normal(size=(60, 2))
-            field = gaussian_diffusivity(g, f, 0.05)
-            assert (field.q > 0).all() and (field.q <= 1).all()
-            assert np.array_equal(field.q[g.mirror], field.q)
+            q = gaussian_diffusivity(g, f, 0.05)
+            assert (q > 0).all() and (q <= 1).all()
+            assert np.array_equal(q[g.mirror], q)
 
     def test_rejects_bad_sigma(self, triangle):
         with pytest.raises(ParameterError):
@@ -90,18 +90,18 @@ def test_isotropic_variant_is_the_graph_weights():
 class TestPlainWeights:
     def test_identity_diffusivity_recovers_isotropic(self, triangle):
         f = np.zeros((3, 2))
-        field = gaussian_diffusivity(triangle, f, 1.0)
-        wd = plain_weights(triangle, field)
+        q = gaussian_diffusivity(triangle, f, 1.0)
+        wd = plain_weights(triangle, q)
         assert np.array_equal(wd.wD, triangle.weights.data)
 
     def test_elementwise_product(self):
         rng = np.random.default_rng(12)
         _, g = random_knn_graph(rng, 25, 3)
         f = rng.normal(size=(25, 2))
-        field = gaussian_diffusivity(g, f, 0.4)
-        wd = plain_weights(g, field)
+        q = gaussian_diffusivity(g, f, 0.4)
+        wd = plain_weights(g, q)
         for p in range(g.weights.nnz):
-            assert wd.wD[p] == g.weights.data[p] * field.q[p]
+            assert wd.wD[p] == g.weights.data[p] * q[p]
 
 
 class TestSmoothWeights:
@@ -109,8 +109,8 @@ class TestSmoothWeights:
         w0 = 0.2
         g = triangle_graph(w0, w0, w0)
         f = np.zeros((3, 1))
-        field = gaussian_diffusivity(g, f, 1.0)
-        wd = smooth_weights(g, field)
+        q = gaussian_diffusivity(g, f, 1.0)
+        wd = smooth_weights(g, q)
         assert wd.wD == pytest.approx(np.full(6, 0.5 * w0), rel=1e-15)
 
     def test_empty_mutual_neighborhood_falls_back_to_plain(self):
@@ -123,11 +123,11 @@ class TestSmoothWeights:
         g = gaussian_weights(D, 2.0, nbrs)
         rng = np.random.default_rng(13)
         f = rng.normal(size=(4, 2))
-        field = gaussian_diffusivity(g, f, 0.8)
-        wd = smooth_weights(g, field)
+        q = gaussian_diffusivity(g, f, 0.8)
+        wd = smooth_weights(g, q)
         # counts are per undirected edge, in the order of g.upper
         _, _, _, counts = g.mutual_structure
-        plain = g.weights.data * field.q
+        plain = g.weights.data * q
         empty = g.upper[counts == 0]
         assert empty.size
         assert np.array_equal(wd.wD[empty], plain[empty])
@@ -137,10 +137,10 @@ class TestSmoothWeights:
         rng = np.random.default_rng(14)
         _, g = random_knn_graph(rng, 40, 6)
         f = rng.normal(size=(40, 2))
-        field = gaussian_diffusivity(g, f, 0.3)
-        wd = smooth_weights(g, field)
+        q = gaussian_diffusivity(g, f, 0.3)
+        wd = smooth_weights(g, q)
         oracle = smooth_weights_bruteforce(
-            g.weights.toarray(), dense_field(g, field.q), g.neighborhoods
+            g.weights.toarray(), dense_field(g, q), g.neighborhoods
         )
         assert np.abs(dense_field(g, wd.wD) - oracle).max() < 1e-12
 
@@ -150,9 +150,9 @@ class TestSmoothWeights:
         for n in (K + 1, 40, 150):
             _, g = random_knn_graph(rng, n, K)
             for c, sigma_f in ((1, 0.05), (2, 0.3), (3, 2.0)):
-                field = gaussian_diffusivity(g, rng.normal(size=(n, c)), sigma_f)
-                expected = smooth_weights_directed(g, field)
-                assert np.array_equal(smooth_weights(g, field).wD, expected)
+                q = gaussian_diffusivity(g, rng.normal(size=(n, c)), sigma_f)
+                expected = smooth_weights_directed(g, q)
+                assert np.array_equal(smooth_weights(g, q).wD, expected)
 
     def test_bitwise_equal_to_directed_mean_duplicate_heavy(self):
         from anisodiff.graph import build_knn_graph, pairwise_distances
@@ -162,9 +162,9 @@ class TestSmoothWeights:
         g = build_knn_graph(pairwise_distances(X), 8)
         # few distinct rows give many exactly equal diffusivities
         for f in (rng.normal(size=(300, 2)), rng.integers(0, 2, size=(300, 2)).astype(float)):
-            field = gaussian_diffusivity(g, f, 0.2)
-            expected = smooth_weights_directed(g, field)
-            assert np.array_equal(smooth_weights(g, field).wD, expected)
+            q = gaussian_diffusivity(g, f, 0.2)
+            expected = smooth_weights_directed(g, q)
+            assert np.array_equal(smooth_weights(g, q).wD, expected)
 
     def test_exactly_symmetric_and_positive(self):
         rng = np.random.default_rng(15)
@@ -180,8 +180,8 @@ class TestLocalMatchWeights:
         w0 = 0.4
         g = triangle_graph(w0, w0, w0)
         f = np.zeros((3, 1))
-        field = gaussian_diffusivity(g, f, 1.0)
-        wd = local_match_weights(g, field, f)
+        q = gaussian_diffusivity(g, f, 1.0)
+        wd = local_match_weights(g, q, f, 1.0)
         assert wd.wD == pytest.approx(np.full(6, (4.0 / 3.0) * w0), rel=1e-15)
 
     def test_constant_f_closed_form(self):
@@ -189,8 +189,8 @@ class TestLocalMatchWeights:
         _, g = random_knn_graph(rng, 30, 4)
         K = 4
         f = np.tile([2.0, -1.0], (30, 1))
-        field = gaussian_diffusivity(g, f, 0.7)
-        wd = local_match_weights(g, field, f)
+        q = gaussian_diffusivity(g, f, 0.7)
+        wd = local_match_weights(g, q, f, 0.7)
         expected = g.weights.data * (2.0 * K / (K + 1.0))
         assert wd.wD == pytest.approx(expected, rel=1e-14)
 
@@ -199,10 +199,10 @@ class TestLocalMatchWeights:
         _, g = random_knn_graph(rng, 40, 6)
         f = rng.normal(size=(40, 2))
         sigma_f = 0.5
-        field = gaussian_diffusivity(g, f, sigma_f)
-        wd = local_match_weights(g, field, f)
+        q = gaussian_diffusivity(g, f, sigma_f)
+        wd = local_match_weights(g, q, f, sigma_f)
         oracle = local_match_weights_bruteforce(
-            g.weights.toarray(), dense_field(g, field.q), g.neighborhoods, f, sigma_f
+            g.weights.toarray(), dense_field(g, q), g.neighborhoods, f, sigma_f
         )
         assert np.abs(dense_field(g, wd.wD) - oracle).max() < 1e-12
 
@@ -221,12 +221,13 @@ class TestLocalMatchWeights:
             f = np.ascontiguousarray(f)
             mu = min_cross_sqdist_blocked(pair_k, pair_j, g.neighborhoods, f)
             assert np.array_equal(_min_cross_sqdist(g, f), mu)
-            field = gaussian_diffusivity(g, f, 0.4)
-            qstar = np.exp(-mu / (field.sigma_f * field.sigma_f))
+            sigma_f = 0.4
+            q = gaussian_diffusivity(g, f, sigma_f)
+            qstar = np.exp(-mu / (sigma_f * sigma_f))
             boost = (K + qstar[slot_map].sum(axis=1)) / (K + 1.0)
-            direct = g.weights.data * field.q * boost
+            direct = g.weights.data * q * boost
             sym = 0.5 * (direct + direct[g.mirror])
-            assert np.array_equal(local_match_weights(g, field, f).wD, sym)
+            assert np.array_equal(local_match_weights(g, q, f, sigma_f).wD, sym)
 
     def test_exactly_symmetric_and_positive(self):
         rng = np.random.default_rng(19)
@@ -245,9 +246,15 @@ class TestLocalMatchWeights:
         write_graph_triplets(g, path)
         bare = read_graph_triplets(path, n=20)
         f = rng.normal(size=(20, 2))
-        field = gaussian_diffusivity(bare, f, 0.5)
+        q = gaussian_diffusivity(bare, f, 0.5)
         with pytest.raises(ParameterError):
-            local_match_weights(bare, field, f)
+            local_match_weights(bare, q, f, 0.5)
+
+    def test_rejects_bad_sigma(self, triangle):
+        f = np.zeros((3, 1))
+        q = gaussian_diffusivity(triangle, f, 1.0)
+        with pytest.raises(ParameterError):
+            local_match_weights(triangle, q, f, 0.0)
 
 
 class TestSymmetrize:

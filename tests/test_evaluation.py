@@ -173,6 +173,11 @@ class TestBenchmark:
         with pytest.raises(ParameterError, match="FLAP"):
             benchmark(ds, ["FLAP"], [0], GridSpec(), train_labels=4)
 
+    def test_empty_seed_list_rejected(self):
+        ds = gaussian_blobs(50, 2, 6.0, 2, seed=7)
+        with pytest.raises(ParameterError, match="at least one seed"):
+            benchmark(ds, ["I", "GRF"], [], GridSpec(), train_labels=4)
+
     def test_kv_round_trip_lossless(self, small_report):
         text = report_kv(small_report, include_timing=True)
         parsed = parse_report_kv(text)

@@ -6,6 +6,7 @@ without failing the benchmark.  This test fails instead.
 """
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,10 @@ EXPECTED_SPANS = {
     "laplacian.apply",
     "diffusivity.sqnorms",
     "diffusivity.smooth",
+    "diffusivity.plain",
+    "diffusivity.local_match",
+    "diffusion.run",
+    "baselines.grf",
     "diffusion.step",
     "diffusion.warm_start",
     "graph.mutual_structure",
@@ -45,10 +50,13 @@ def test_traced_runs_record_every_layer_span():
             K=4, T=3, sigma_f=0.2, warm_start_steps=2, variant="smooth", mode="nonlinear"
         )
         result = diffusion.run_diffusion(config, g, state)
+        for variant in ("plain", "local_match"):
+            diffusion.run_diffusion(replace(config, variant=variant), g, state)
         grid = evaluation.GridSpec(
             K_values=(4,), T_values=(1, 2), sigma_f_values=(0.5,), variant="smooth"
         )
         evaluation.grid_search(grid, ds, split_labels(ds, 4, 0))
+        evaluation.benchmark(ds, ["GRF"], [0], grid, train_labels=4)
     finally:
         tracer.uninstall()
     assert np.isfinite(result.f).all()
