@@ -5,7 +5,6 @@ from .data import (
     Dataset,
     SplitSpec,
     gaussian_blobs,
-    load_dataset,
     split_labels,
     two_moons,
 )

@@ -36,7 +36,6 @@ from .graph import (
     build_knn_graph,
     gaussian_weights,
     knn_neighborhoods,
-    write_graph_triplets,
 )
 
 VARIANT_FLAGS = {
@@ -230,7 +229,7 @@ def cmd_build_graph(parser, args) -> int:
     nbrs = knn_neighborhoods(D, args.K)
     sigma_x = args.sigma_x if args.sigma_x is not None else auto_sigma_x(D, nbrs)
     graph = gaussian_weights(D, sigma_x, nbrs)
-    write_graph_triplets(graph, args.out)
+    datamod.write_graph_triplets(graph, args.out)
     print(f"n={graph.n} edges={len(graph.upper)} sigma_x={sigma_x:.17g}")
     return 0
 

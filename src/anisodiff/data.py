@@ -1,4 +1,4 @@
-"""Datasets: file ingestion, synthetic generators, and label splitting.
+"""Datasets: text file formats, synthetic generators, and label splitting.
 
 Random generation uses numpy's Philox counter-based generator, so every
 synthetic dataset and split is a pure function of its parameters and seed
@@ -8,13 +8,16 @@ and reproduces bit-for-bit across platforms.
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InputError, ParameterError
 from .graph import (
+    Graph,
     max_asymmetry,
     pairwise_distances,
     validate_distances,
@@ -34,7 +37,6 @@ class Dataset:
     labels: np.ndarray
     features: np.ndarray | None = None
     distances: np.ndarray | None = None
-    label_mapping: dict[int, int] | None = None
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -161,31 +163,52 @@ def split_labels(dataset: Dataset, l: int, seed: int) -> SplitSpec:
 
 
 # ---------------------------------------------------------------------------
-# file formats
+# file formats: numeric tables, triplet edge lists, key=value manifests.
+# Writers print 17 significant digits, so a file reads back the same floats.
 
 
-def _read_table(path):
-    """Numeric text rows (whitespace- or comma-delimited), with line numbers."""
-    rows = []
+def _read_table(path) -> np.ndarray:
+    """Numeric text rows (whitespace- or comma-delimited) as a 2-D array.
+
+    Values go into one flat float buffer that the result views without a
+    copy, so reading a table peaks at about the table's own size.
+    """
+    values = array("d")
+    width = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.replace(",", " ").split()
+            if width is None:
+                width = len(parts)
+            elif len(parts) != width:
+                raise InputError(
+                    f"{path}:{lineno}: expected {width} columns, got {len(parts)}"
+                )
             try:
-                rows.append(([float(p) for p in parts], lineno))
+                values.extend(map(float, parts))
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
+    if width is None:
         raise InputError(f"{path}: no data rows")
-    width = len(rows[0][0])
-    for values, lineno in rows:
-        if len(values) != width:
-            raise InputError(
-                f"{path}:{lineno}: expected {width} columns, got {len(values)}"
-            )
-    return np.asarray([values for values, _ in rows])
+    return np.frombuffer(values).reshape(-1, width)
+
+
+def _node_indices(path, columns, n: int | None = None):
+    """Integer indices in [0, n) and n, by default the largest index + 1."""
+    fractional = np.mod(columns, 1) != 0
+    if fractional.any():
+        raise InputError(
+            f"{path}: node index {float(columns[fractional][0])} is not an integer"
+        )
+    idx = columns.astype(np.int64)
+    size = int(idx.max()) + 1 if n is None else n
+    outside = (idx < 0) | (idx >= size)
+    if outside.any():
+        raise InputError(f"{path}: node index {idx[outside][0]} outside [0, {size})")
+    return idx, size
 
 
 def read_features(path) -> np.ndarray:
@@ -198,59 +221,49 @@ def read_distances(path) -> np.ndarray:
     Asymmetric inputs are symmetrized by averaging, with a warning.  A square
     table is read densely when it passes the distance-matrix checks (zero
     diagonal, nonnegative); a 3-column table that does not is read as
-    triplets.
+    triplets.  Of repeated triplet lines for one (i, j) the last counts; a
+    pair given in one direction is mirrored.
     """
     table = _read_table(path)
     square = table.shape[0] == table.shape[1]
-    dense_plausible = (
-        square
-        and (np.abs(np.diagonal(table)) == 0).all()
-        and (table >= 0).all()
-    )
-    if dense_plausible:
-        D = table
-        asym = max_asymmetry(D)
+    # min() is NaN if any entry is, so a NaN table is not read densely
+    if square and not np.diagonal(table).any() and table.min() >= 0:
+        asym = max_asymmetry(table)
         if asym > 1e-12:
             warnings.warn(
                 f"{path}: distances asymmetric by {asym:.3e}; averaging",
                 stacklevel=2,
             )
-            D = 0.5 * (D + D.T)
-        return validate_distances(D)
+            table = 0.5 * (table + table.T)
+        return validate_distances(table)
     if table.shape[1] != 3:
         raise InputError(
             f"{path}: expected a square matrix or 'i j dist' triplets, "
             f"got shape {table.shape}"
         )
-    ii = table[:, 0]
-    jj = table[:, 1]
-    dd = table[:, 2]
-    if not (np.equal(np.mod(ii, 1), 0).all() and np.equal(np.mod(jj, 1), 0).all()):
-        raise InputError(f"{path}: triplet indices must be integers")
-    ii = ii.astype(np.int64)
-    jj = jj.astype(np.int64)
-    if (ii < 0).any() or (jj < 0).any():
-        raise InputError(f"{path}: triplet indices must be >= 0")
-    n = int(max(ii.max(), jj.max())) + 1
+    idx, n = _node_indices(path, table[:, :2])
+    ii, jj, dd = idx[:, 0], idx[:, 1], table[:, 2]
+    nonzero_self = (ii == jj) & (dd != 0)
+    if nonzero_self.any():
+        raise InputError(f"{path}: nonzero self distance at {ii[nonzero_self][0]}")
+    # first occurrences in the reversed lines are the last line of each (i, j)
+    keys, last = np.unique((ii * n + jj)[::-1], return_index=True)
+    i, j = np.divmod(keys, n)
+    d = dd[::-1][last]
     D = np.full((n, n), np.nan)
-    np.fill_diagonal(D, 0.0)
-    for i, j, dv in zip(ii, jj, dd):
-        if i == j:
-            if dv != 0:
-                raise InputError(f"{path}: nonzero self distance at {i}")
-            continue
-        D[i, j] = dv
-    mirrored = D.T.copy()
-    both = ~np.isnan(D) & ~np.isnan(mirrored)
-    if (np.abs(D[both] - mirrored[both]) > 1e-12).any():
+    D[i, j] = d
+    back = D[j, i]
+    # match reverse lines by key, so a NaN distance makes its pair missing
+    one_sided = ~np.isin(j * n + i, keys)
+    if (np.abs(d - back)[~one_sided] > 1e-12).any():
         warnings.warn(f"{path}: asymmetric triplet distances; averaging", stacklevel=2)
-    merged = np.where(
-        np.isnan(D), mirrored, np.where(np.isnan(mirrored), D, 0.5 * (D + mirrored))
-    )
-    if np.isnan(merged).any():
-        i, j = np.argwhere(np.isnan(merged))[0]
+    D[j, i] = np.where(one_sided, d, 0.5 * (d + back))
+    # zero self lines wrote their diagonal entry; nodes without one get it here
+    np.fill_diagonal(D, 0.0)
+    if np.isnan(D.min()):
+        i, j = np.argwhere(np.isnan(D))[0]
         raise InputError(f"{path}: missing distance for pair ({i}, {j})")
-    return validate_distances(merged)
+    return validate_distances(D)
 
 
 def read_label_pairs(path):
@@ -260,14 +273,11 @@ def read_label_pairs(path):
         raise InputError(
             f"{path}: expected 'index class' lines, got {table.shape[1]} columns"
         )
-    if not np.equal(np.mod(table, 1), 0).all():
-        raise InputError(f"{path}: indices and classes must be integers")
-    idx = table[:, 0].astype(np.int64)
-    cls = table[:, 1].astype(np.int64)
+    if (np.mod(table, 1) != 0).any() or (table < 0).any():
+        raise InputError(f"{path}: indices and classes must be integers >= 0")
+    idx, cls = table.astype(np.int64).T
     if len(np.unique(idx)) != len(idx):
         raise InputError(f"{path}: duplicate indices")
-    if (idx < 0).any() or (cls < 0).any():
-        raise InputError(f"{path}: indices and classes must be >= 0")
     return idx, cls
 
 
@@ -282,32 +292,35 @@ def read_labels(path, n: int):
         raise InputError(f"{path}: {len(idx)} labels but dataset has {n} points")
     if idx.max() >= n:
         raise InputError(f"{path}: label index {idx.max()} outside [0, {n})")
-    originals = np.unique(cls)
-    mapping = {int(orig): new for new, orig in enumerate(originals)}
+    originals, remapped = np.unique(cls, return_inverse=True)
     out = np.empty(n, dtype=np.int64)
-    out[idx] = np.asarray([mapping[int(v)] for v in cls], dtype=np.int64)
-    return out, mapping
+    out[idx] = remapped
+    return out, dict(zip(originals.tolist(), range(len(originals))))
 
 
-def load_dataset(path, format: str, labels_path, name: str | None = None) -> Dataset:
-    """Read features or distances plus a full ground-truth label file."""
-    if format == "features":
-        X = read_features(path)
-        n = X.shape[0]
-        labels, mapping = read_labels(labels_path, n)
-        return Dataset(name or str(path), labels, features=X, label_mapping=mapping)
-    if format == "distances":
-        D = read_distances(path)
-        n = D.shape[0]
-        labels, mapping = read_labels(labels_path, n)
-        return Dataset(name or str(path), labels, distances=D, label_mapping=mapping)
-    raise ParameterError(f"format must be 'features' or 'distances', got {format!r}")
+def read_graph_triplets(path, n: int | None = None) -> Graph:
+    """Read a triplet edge list written by :func:`write_graph_triplets`."""
+    table = _read_table(path)
+    if table.shape[1] != 3:
+        raise InputError(f"{path}: expected 'i j w' lines, got {table.shape[1]} columns")
+    idx, size = _node_indices(path, table[:, :2], n)
+    ii, jj, w = idx[:, 0], idx[:, 1], table[:, 2]
+    loops = ii == jj
+    if loops.any():
+        raise InputError(f"{path}: self loop {ii[loops][0]}")
+    outside = ~((w > 0) & (w <= 1))
+    if outside.any():
+        raise InputError(f"{path}: weight {float(w[outside][0])} outside (0, 1]")
+    W = sp.csr_array((w, (ii, jj)), shape=(size, size))
+    W = W + W.T
+    # duplicate (i, j) or (j, i) lines would silently sum; reject them instead
+    if W.nnz != 2 * len(w):
+        raise InputError(f"{path}: duplicate edges present")
+    return Graph(W)
 
 
 def write_features(X, path):
-    with open(path, "w") as fh:
-        for row in np.asarray(X):
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, X, fmt="%.17g")
 
 
 def write_labels(labels, path, indices=None):
@@ -315,9 +328,14 @@ def write_labels(labels, path, indices=None):
     labels = np.asarray(labels)
     if indices is None:
         indices = np.arange(len(labels))
-    with open(path, "w") as fh:
-        for i in indices:
-            fh.write(f"{int(i)} {int(labels[i])}\n")
+    np.savetxt(path, np.column_stack([indices, labels[indices]]), fmt="%d")
+
+
+def write_graph_triplets(graph: Graph, path):
+    """Write edges as lines "i j w" with i < j, 17 significant digits."""
+    i, j, _ = graph.undirected_edges
+    w = graph.weights.data[graph.upper]
+    np.savetxt(path, np.column_stack([i, j, w]), fmt="%d %d %.17g")
 
 
 def write_manifest(entries: dict, path):

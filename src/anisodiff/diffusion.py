@@ -213,14 +213,4 @@ def decode_labels(f) -> np.ndarray:
 
 def write_energy_trace(energies, path):
     """CSV lines "t,energy" with 17 significant digits."""
-    with open(path, "w") as fh:
-        for t, e in enumerate(np.asarray(energies)):
-            fh.write(f"{t},{e:.17g}\n")
-
-
-def write_values(f, path):
-    """Write an n x c value matrix as whitespace-delimited text."""
-    f = np.asarray(f)
-    with open(path, "w") as fh:
-        for row in f:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, list(enumerate(energies)), fmt="%d,%.17g")

@@ -416,49 +416,3 @@ def build_knn_graph(dist, K: int, sigma_x: float | None = None) -> Graph:
     if sigma_x is None:
         sigma_x = auto_sigma_x(D, nbrs)
     return gaussian_weights(D, sigma_x, nbrs)
-
-
-def write_graph_triplets(graph: Graph, path):
-    """Write edges as lines "i j w" with i < j, 17 significant digits."""
-    W = graph.weights
-    rows = graph.rows
-    with open(path, "w") as fh:
-        for p in graph.upper:
-            fh.write(f"{rows[p]} {W.indices[p]} {W.data[p]:.17g}\n")
-
-
-def read_graph_triplets(path, n: int | None = None) -> Graph:
-    """Read a triplet edge list written by :func:`write_graph_triplets`."""
-    from .errors import InputError
-
-    ii, jj, ww = [], [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise InputError(f"{path}:{lineno}: expected 'i j w', got {line!r}")
-            try:
-                i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
-            if i == j:
-                raise InputError(f"{path}:{lineno}: self loop {i}")
-            if not 0 < w <= 1:
-                raise InputError(f"{path}:{lineno}: weight {w} outside (0, 1]")
-            ii.append(i)
-            jj.append(j)
-            ww.append(w)
-    if not ii:
-        raise InputError(f"{path}: no edges")
-    size = n if n is not None else max(max(ii), max(jj)) + 1
-    W = sp.coo_array(
-        (np.concatenate([ww, ww]), (np.concatenate([ii, jj]), np.concatenate([jj, ii]))),
-        shape=(size, size),
-    ).tocsr()
-    # duplicate (i, j) lines would silently sum; reject them instead
-    expected = 2 * len(ii)
-    if W.nnz != expected:
-        raise InputError(f"{path}: duplicate edges present")
-    return Graph(W)

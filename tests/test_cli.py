@@ -63,7 +63,7 @@ class TestBuildGraph:
         assert code == 0
         captured = capsys.readouterr().out
         assert "n=80" in captured and "sigma_x=" in captured
-        from anisodiff.graph import read_graph_triplets
+        from anisodiff.data import read_graph_triplets
 
         g = read_graph_triplets(gpath, n=80)
         assert g.n == 80

@@ -1,10 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from anisodiff.data import (
     Dataset,
     gaussian_blobs,
-    load_dataset,
     read_distances,
     read_features,
     read_label_pairs,
@@ -205,29 +207,68 @@ class TestFileFormats:
             D = read_distances(path)
         assert D[0, 1] == 1.5
 
+    def test_triplet_repeated_line_keeps_last(self, tmp_path):
+        path = tmp_path / "trip.txt"
+        path.write_text("0 1 1.0\n0 2 2.0\n0 1 3.0\n1 2 1.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            D = read_distances(path)
+        assert D[0, 1] == D[1, 0] == 3.0
+
+    def test_triplet_zero_self_lines_accepted(self, tmp_path):
+        path = tmp_path / "trip.txt"
+        path.write_text("0 0 0\n0 1 1.0\n1 1 0.0\n")
+        assert read_distances(path).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_triplet_nonzero_self_line_names_node(self, tmp_path):
+        path = tmp_path / "trip.txt"
+        path.write_text("0 1 1.0\n0 2 1.0\n1 2 1.0\n2 2 0.5\n")
+        with pytest.raises(InputError, match=r"trip\.txt.*self distance at 2"):
+            read_distances(path)
+
+    def test_triplet_one_sided_pair_mirrored(self, tmp_path):
+        path = tmp_path / "trip.txt"
+        path.write_text("1 0 2.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            D = read_distances(path)
+        assert D.tolist() == [[0.0, 2.5], [2.5, 0.0]]
+
+    def test_triplet_two_sided_pair_is_exact_mean(self, tmp_path):
+        a, b = 0.1, 0.7
+        path = tmp_path / "trip.txt"
+        path.write_text(f"0 1 {a!r}\n1 0 {b!r}\n")
+        with pytest.warns(UserWarning, match="asymmetric"):
+            D = read_distances(path)
+        assert D[0, 1] == D[1, 0] == 0.5 * (a + b)
+
+    @pytest.mark.parametrize("text", ["0 1 nan\n", "0 1 1.0\n1 0 nan\n"])
+    def test_triplet_nan_distance_is_missing(self, tmp_path, text):
+        path = tmp_path / "trip.txt"
+        path.write_text(text)
+        with pytest.raises(InputError, match=r"trip\.txt.*missing distance for pair \(0, 1\)"):
+            read_distances(path)
+
+    def test_dense_read_peak_memory_near_matrix_size(self, tmp_path):
+        from anisodiff.graph import pairwise_distances
+
+        D = pairwise_distances(np.random.default_rng(73).normal(size=(600, 2)))
+        path = tmp_path / "dist.txt"
+        write_features(D, path)
+        tracemalloc.start()
+        try:
+            got = read_distances(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, D)
+        assert peak < 1.5 * D.nbytes, peak / D.nbytes
+
     def test_manifest_round_trip(self, tmp_path):
         path = tmp_path / "manifest.txt"
         write_manifest({"name": "moons", "n": 10, "c": 2, "format": "features"}, path)
         entries = read_manifest(path)
         assert entries == {"name": "moons", "n": "10", "c": "2", "format": "features"}
-
-    def test_load_dataset_features(self, tmp_path):
-        ds = two_moons(20, 0.05, seed=8)
-        fpath, lpath = tmp_path / "f.txt", tmp_path / "l.txt"
-        write_features(ds.features, fpath)
-        write_labels(ds.labels, lpath)
-        loaded = load_dataset(fpath, "features", lpath, name="roundtrip")
-        assert np.array_equal(loaded.features, ds.features)
-        assert np.array_equal(loaded.labels, ds.labels)
-        assert loaded.n == 20 and loaded.c == 2
-
-    def test_load_dataset_size_mismatch(self, tmp_path):
-        ds = two_moons(20, 0.05, seed=8)
-        fpath, lpath = tmp_path / "f.txt", tmp_path / "l.txt"
-        write_features(ds.features, fpath)
-        write_labels(ds.labels[:10], lpath)
-        with pytest.raises(InputError):
-            load_dataset(fpath, "features", lpath)
 
 
 class TestDatasetInvariants:

@@ -238,7 +238,7 @@ class TestLocalMatchWeights:
         assert np.array_equal(wd.wD[g.mirror], wd.wD)
 
     def test_requires_knn_graph(self, tmp_path):
-        from anisodiff.graph import read_graph_triplets, write_graph_triplets
+        from anisodiff.data import read_graph_triplets, write_graph_triplets
 
         rng = np.random.default_rng(20)
         _, g = random_knn_graph(rng, 20, 3)

@@ -7,8 +7,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anisodiff.data import read_graph_triplets, write_graph_triplets
 from anisodiff.errors import (
     DegenerateDataError,
+    InputError,
     NonEdgeError,
     ParameterError,
 )
@@ -20,9 +22,7 @@ from anisodiff.graph import (
     gaussian_weights,
     knn_neighborhoods,
     pairwise_distances,
-    read_graph_triplets,
     validate_distances,
-    write_graph_triplets,
 )
 
 from oracles import (
@@ -389,6 +389,48 @@ class TestTripletRoundTrip:
             i, j, w = line.split()
             assert int(i) < int(j)
             assert 0 < float(w) <= 1
+
+
+class TestTripletRejections:
+    """A bad edge list raises InputError naming the file and the bad value."""
+
+    @pytest.mark.parametrize(
+        "text, pattern",
+        [
+            ("0 1 0.5\n3 3 0.5\n", r"g\.txt.*self loop 3"),
+            ("0 1 0.5\n1 2 1.5\n", r"g\.txt.*weight 1\.5 outside \(0, 1\]"),
+            ("0 1 0.0\n", r"g\.txt.*weight 0\.0 outside \(0, 1\]"),
+            ("0 1 -0.25\n", r"g\.txt.*weight -0\.25 outside \(0, 1\]"),
+            ("0 1 nan\n", r"g\.txt.*weight nan outside \(0, 1\]"),
+            ("0 1 0.5\n1.5 2 0.5\n", r"g\.txt.*1\.5"),
+            ("0 1 abc\n", r"g\.txt:1: .*abc"),
+            ("0 1\n1 2\n", r"g\.txt.*expected 'i j w'"),
+            ("0 1 0.5 9\n", r"g\.txt.*expected 'i j w'"),
+            ("0 1 0.5\n1 2\n", r"g\.txt:2: expected"),
+            ("0 1 0.5\n0 1 0.5\n", r"g\.txt.*duplicate edge"),
+            ("0 1 0.5\n1 0 0.5\n", r"g\.txt.*duplicate edge"),
+            ("", r"g\.txt: no (edges|data rows)"),
+        ],
+    )
+    def test_rejects(self, tmp_path, text, pattern):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(InputError, match=pattern):
+            read_graph_triplets(path)
+
+    @pytest.mark.parametrize(
+        "text, n, pattern",
+        [
+            ("0 1 0.5\n1 7 0.5\n", 5, r"g\.txt.*node index 7 outside \[0, 5\)"),
+            ("0 1 0.5\n-1 2 0.5\n", 5, r"g\.txt.*node index -1 outside \[0, 5\)"),
+            ("0 1 0.5\n-1 2 0.5\n", None, r"g\.txt.*node index -1 outside \[0, 3\)"),
+        ],
+    )
+    def test_bad_node_index(self, tmp_path, text, n, pattern):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(InputError, match=pattern):
+            read_graph_triplets(path, n=n)
 
 
 class TestValidateDistances:

@@ -14,6 +14,8 @@ import numpy as np
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 EXPECTED_SPANS = {
+    "data.load",
+    "data.distance_matrix",
     "laplacian.build",
     "laplacian.apply",
     "diffusivity.sqnorms",
@@ -35,14 +37,20 @@ def _load_tracing():
     return module
 
 
-def test_traced_runs_record_every_layer_span():
-    from anisodiff import diffusion, evaluation, graph
-    from anisodiff.data import split_labels, two_moons
+def test_traced_runs_record_every_layer_span(tmp_path):
+    from anisodiff import data, diffusion, evaluation, graph
 
     tracer = _load_tracing().Tracer()
-    ds = two_moons(40, 0.15, seed=2)
+    moons = data.two_moons(40, 0.15, seed=2)
+    fpath, lpath = tmp_path / "features.txt", tmp_path / "labels.txt"
+    data.write_features(moons.features, fpath)
+    data.write_labels(moons.labels, lpath)
     tracer.install()
     try:
+        # read after install, so the file readers are traced too
+        X = data.read_features(fpath)
+        y, _ = data.read_labels(lpath, len(X))
+        ds = data.Dataset("traced", y, features=X)
         # graphs built after install, so their lazy structures are traced
         g = graph.build_knn_graph(ds.distance_matrix, 4)
         state = diffusion.init_labels([(0, 0), (39, 1)], 40, 2)
@@ -55,7 +63,7 @@ def test_traced_runs_record_every_layer_span():
         grid = evaluation.GridSpec(
             K_values=(4,), T_values=(1, 2), sigma_f_values=(0.5,), variant="smooth"
         )
-        evaluation.grid_search(grid, ds, split_labels(ds, 4, 0))
+        evaluation.grid_search(grid, ds, data.split_labels(ds, 4, 0))
         evaluation.benchmark(ds, ["GRF"], [0], grid, train_labels=4)
     finally:
         tracer.uninstall()
