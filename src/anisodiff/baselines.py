@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .diffusion import LabelState
@@ -40,7 +39,7 @@ def grf_harmonic(graph: Graph, state: LabelState) -> HarmonicSolution:
         return HarmonicSolution(f.copy(), mask.copy())
 
     # the lowest-id component with no labeled node makes the system singular
-    _, comp = connected_components(graph.weights, directed=False)
+    comp = graph.components
     unlabeled = np.bincount(comp[mask], minlength=comp.max() + 1) == 0
     if unlabeled.any():
         raise UnlabeledComponentError(np.nonzero(comp == np.argmax(unlabeled))[0])

@@ -85,7 +85,8 @@ def _add_config_flags(p):
     p.add_argument("--config", help="key=value file; explicit flags win")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config=None) -> argparse.ArgumentParser:
+    """The CLI parser; typed ``config`` values become propagate's defaults."""
     parser = argparse.ArgumentParser(
         prog="anisodiff",
         description="Anisotropic diffusion on kNN graphs for label propagation",
@@ -118,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="unused; accepted for symmetry")
     p.add_argument("--trace", help="write the energy trace CSV here")
     p.add_argument("--out", required=True, help="predictions file")
-    p.set_defaults(func=cmd_propagate)
+    p.set_defaults(func=cmd_propagate, **(config or {}))
 
     p = sub.add_parser("grf", help="harmonic-function baseline predictions")
     _add_data_flags(p)
@@ -152,33 +153,27 @@ def _require_file(parser, path, what):
         parser.error(f"{what} file not found: {path}")
 
 
-def _apply_config_file(parser, args, argv):
-    """Overlay key=value config entries under explicitly passed flags."""
-    if getattr(args, "config", None) is None:
-        return
-    _require_file(parser, args.config, "config")
+def _read_config(parser, path) -> dict:
+    """Typed entries of a key=value config file; bad ones are usage errors."""
+    _require_file(parser, path, "config")
     try:
-        entries = datamod.read_manifest(args.config)
+        entries = datamod.read_manifest(path)
     except InputError as exc:
         parser.error(str(exc))
-    seen = set()
-    for token in argv:
-        if token.startswith("--"):
-            seen.add(token.split("=", 1)[0].lstrip("-").replace("-", "_"))
+    config = {}
     for key, raw in entries.items():
         if key not in CONFIG_KEYS:
             parser.error(
                 f"unknown config key {key!r}; valid: {', '.join(CONFIG_KEYS)}"
             )
-        if key in seen:
-            continue  # explicit flag wins
         try:
             value = CONFIG_KEYS[key](raw)
         except ValueError as exc:
             parser.error(f"config key {key!r}: {exc}")
         if key == "variant" and value not in VARIANT_FLAGS:
             parser.error(f"config variant must be one of {sorted(VARIANT_FLAGS)}")
-        setattr(args, key, value)
+        config[key] = value
+    return config
 
 
 def _report_mapping(mapping):
@@ -356,7 +351,11 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config_file(parser, args, argv)
+    if getattr(args, "config", None) is not None:
+        # parsing again over the config values as defaults lets every flag
+        # that argparse accepts, abbreviations included, win over the file
+        parser = build_parser(_read_config(parser, args.config))
+        args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
     except (

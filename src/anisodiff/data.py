@@ -17,6 +17,7 @@ import scipy.sparse as sp
 
 from .errors import InputError, ParameterError
 from .graph import (
+    DISTANCE_SYMMETRY_TOL,
     Graph,
     max_asymmetry,
     pairwise_distances,
@@ -229,7 +230,7 @@ def read_distances(path) -> np.ndarray:
     # min() is NaN if any entry is, so a NaN table is not read densely
     if square and not np.diagonal(table).any() and table.min() >= 0:
         asym = max_asymmetry(table)
-        if asym > 1e-12:
+        if asym > DISTANCE_SYMMETRY_TOL:
             warnings.warn(
                 f"{path}: distances asymmetric by {asym:.3e}; averaging",
                 stacklevel=2,
@@ -255,7 +256,7 @@ def read_distances(path) -> np.ndarray:
     back = D[j, i]
     # match reverse lines by key, so a NaN distance makes its pair missing
     one_sided = ~np.isin(j * n + i, keys)
-    if (np.abs(d - back)[~one_sided] > 1e-12).any():
+    if (np.abs(d - back)[~one_sided] > DISTANCE_SYMMETRY_TOL).any():
         warnings.warn(f"{path}: asymmetric triplet distances; averaging", stacklevel=2)
     D[j, i] = np.where(one_sided, d, 0.5 * (d + back))
     # zero self lines wrote their diagonal entry; nodes without one get it here

@@ -132,8 +132,8 @@ def _trajectory(
         )
     if not state.labeled_mask.any():
         warnings.warn(
-            "no labeled nodes: diffusion of the zero state returns ties "
-            "decoded as class 0",
+            "no labeled nodes: the labeled-row mask is empty, so no row "
+            "is held as a label",
             stacklevel=3,
         )
     clamp_rows = np.nonzero(state.labeled_mask)[0]

@@ -40,14 +40,18 @@ def _check_f(graph: Graph, f) -> np.ndarray:
     return f
 
 
+def _sqdist(f: np.ndarray, a, b) -> np.ndarray:
+    """||f(a) - f(b)||^2 over the columns of f, per index pair (a, b)."""
+    # np.take of whole rows is much faster than fancy indexing of a 2-D array
+    diff = np.take(f, a, axis=0)
+    diff -= np.take(f, b, axis=0)
+    return np.einsum("pc,pc->p", diff, diff)
+
+
 def edge_sqnorms(graph: Graph, f) -> np.ndarray:
     """||f(j) - f(i)||^2 per stored edge, computed once per undirected pair."""
-    f = _check_f(graph, f)
     i, j, edge_of = graph.undirected_edges
-    # np.take of whole rows is much faster than fancy indexing of a 2-D array
-    diff = np.take(f, j, axis=0)
-    diff -= np.take(f, i, axis=0)
-    return np.einsum("ec,ec->e", diff, diff)[edge_of]
+    return _sqdist(_check_f(graph, f), j, i)[edge_of]
 
 
 def _check_sigma_f(sigma_f: float) -> None:
@@ -126,9 +130,7 @@ def _min_cross_sqdist(graph: Graph, f) -> np.ndarray:
     result does not depend on which endpoint comes first.
     """
     cross_a, cross_b, cross_map = graph.cross_pairs
-    diff = f[cross_a]
-    diff -= f[cross_b]
-    return np.einsum("uc,uc->u", diff, diff)[cross_map].min(axis=0)
+    return _sqdist(f, cross_a, cross_b)[cross_map].min(axis=0)
 
 
 def local_match_weights(graph: Graph, q, f, sigma_f: float) -> AnisotropicWeights:
@@ -141,13 +143,12 @@ def local_match_weights(graph: Graph, q, f, sigma_f: float) -> AnisotropicWeight
     (j, i) differ, and the result is their arithmetic mean.  ``sigma_f``
     is the scale that ``q`` was computed with.
     """
-    if graph.neighborhoods is None:
-        raise ParameterError("local-match weights need a kNN-built graph")
     _check_sigma_f(sigma_f)
     q = _check_q(graph, q)
     f = _check_f(graph, f)
-    K = graph.neighborhoods.shape[1]
+    # raises ParameterError for a graph without kNN neighborhoods
     _, _, slot_map = graph.match_structure
+    K = slot_map.shape[1]
     mu = _min_cross_sqdist(graph, f)
     qstar = np.exp(-mu / (sigma_f * sigma_f))
     boost = (K + qstar[slot_map].sum(axis=1)) / (K + 1.0)

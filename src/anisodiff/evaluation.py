@@ -150,14 +150,6 @@ class BenchmarkReport:
     rows: tuple
 
 
-def _describe_config(config: DiffusionConfig) -> str:
-    return f"K:{config.K};T:{config.T};sigma_f:{config.sigma_f:.17g}"
-
-
-def _describe_grf(K: int) -> str:
-    return f"K:{K}"
-
-
 def benchmark(
     dataset: Dataset,
     methods,
@@ -212,18 +204,11 @@ def benchmark(
                         labels, err = None, 100.0
                     scores.append((err, int(K), labels))
                 _, K, labels = min(scores, key=lambda s: s[:2])
-                selected.append(_describe_grf(K))
+                selected.append(f"K:{K}")
             else:
                 variant, mode = _METHOD_SETTINGS[method]
-                method_grid = GridSpec(
-                    K_values=grid.K_values,
-                    T_values=grid.T_values,
-                    sigma_f_values=grid.sigma_f_values,
-                    variant=variant,
-                    mode=mode,
-                )
                 config, _, labels = grid_search(
-                    method_grid,
+                    replace(grid, variant=variant, mode=mode),
                     dataset,
                     split,
                     delta=delta,
@@ -232,7 +217,9 @@ def benchmark(
                 )
                 if labels is None:
                     raise DivergenceError(f"diffusion diverged at delta={delta}")
-                selected.append(_describe_config(config))
+                selected.append(
+                    f"K:{config.K};T:{config.T};sigma_f:{config.sigma_f:.17g}"
+                )
             seconds.append(time.perf_counter() - t0)
             errors.append(100.0 if labels is None else error_rate(labels, y, split.test))
         errors = tuple(errors)

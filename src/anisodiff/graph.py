@@ -101,7 +101,8 @@ class Graph:
     Weights lie in (0, 1], there are no self loops, and w_ij == w_ji exactly.
     ``neighborhoods`` holds the (n, K) kNN index lists when the graph was
     built from kNN construction; graphs loaded from edge lists carry None and
-    cannot drive the neighborhood-context diffusivities.
+    cannot drive the neighborhood-context diffusivities.  ``components``
+    holds the connected-component label of every node.
 
     Instances are treated as immutable and may be shared across threads.
     """
@@ -127,9 +128,7 @@ class Graph:
                 ConnectivityWarning,
                 stacklevel=2,
             )
-        self.num_components = connected_components(
-            W, directed=False, return_labels=False
-        )
+        self.num_components, self.components = connected_components(W, directed=False)
         if self.num_components > 1:
             warnings.warn(
                 f"graph has {self.num_components} connected components; "
@@ -149,6 +148,10 @@ class Graph:
             raise ParameterError("edge weights must be finite")
         if (data <= 0).any() or (data > 1).any():
             raise ParameterError("edge weights must lie in (0, 1]")
+        # sorted indices leave only a repeated entry to break the strict
+        # ascent that every key lookup relies on
+        if not (np.diff(self._keys) > 0).all():
+            raise ParameterError("graph stores an entry more than once")
         mirrored = data[self.mirror]
         if not np.array_equal(mirrored, data):
             raise ParameterError("edge weights must be exactly symmetric")
@@ -162,25 +165,31 @@ class Graph:
         )
 
     @cached_property
+    def _keys(self) -> np.ndarray:
+        """Row-major key i * n + j of every stored entry, strictly ascending."""
+        return self.rows * self.n + self.weights.indices
+
+    def _positions(self, i, j):
+        """CSR positions of the entries (i, j), broadcast over i and j.
+
+        Returns (pos, found).  Where ``found`` is False there is no such
+        entry, and ``pos`` is some valid position that must not be read.
+        """
+        keys = self._keys
+        want = np.asarray(i, dtype=np.int64) * self.n + j
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return pos, keys[pos] == want
+
+    @cached_property
     def mirror(self) -> np.ndarray:
         """Permutation p with data[p][k] = value stored for the reversed edge.
 
         Raises if the sparsity pattern itself is asymmetric.
         """
-        W = self.weights
-        nnz = W.nnz
-        tagged = sp.csr_array(
-            (np.arange(1, nnz + 1, dtype=np.float64), W.indices, W.indptr),
-            shape=W.shape,
-        )
-        T = tagged.T.tocsr()
-        T.sort_indices()
-        if not (
-            np.array_equal(T.indptr, W.indptr)
-            and np.array_equal(T.indices, W.indices)
-        ):
+        pos, found = self._positions(self.weights.indices, self.rows)
+        if not found.all():
             raise ParameterError("graph sparsity pattern is not symmetric")
-        return T.data.astype(np.int64) - 1
+        return pos
 
     @cached_property
     def upper(self) -> np.ndarray:
@@ -206,16 +215,12 @@ class Graph:
         """(n, K) CSR positions of the edges (i, neighborhoods[i, a])."""
         if self.neighborhoods is None:
             raise ParameterError("graph was not built from kNN neighborhoods")
-        n, K = self.neighborhoods.shape
-        # row-major CSR keys i * n + j ascend because the indices are sorted
-        keys = self.rows * n + self.weights.indices
-        want = (np.arange(n, dtype=np.int64)[:, None] * n + self.neighborhoods).ravel()
-        pos = np.searchsorted(keys, want)
-        found = keys[np.minimum(pos, len(keys) - 1)] == want
+        nbrs = self.neighborhoods
+        pos, found = self._positions(np.arange(len(nbrs))[:, None], nbrs)
         if not found.all():
-            i = int(np.flatnonzero(~found)[0]) // K
+            i = int(np.argwhere(~found)[0, 0])
             raise ParameterError(f"kNN list of node {i} not found in graph")
-        return pos.reshape(n, K)
+        return pos
 
     @cached_property
     def mutual_structure(self):
@@ -227,26 +232,24 @@ class Graph:
         and (j, k); ``counts[e]`` is |N_K(i) & N_K(j)|.  k values are
         enumerated in ascending order.
         """
-        W = self.weights
-        n = self.n
-        cols = W.indices.astype(np.int64)
+        cols = self.weights.indices
         ei, ej, _ = self.undirected_edges
-        # each kNN list in CSR order, i.e. by ascending k; the keys i * n + k
-        # of all lists then form one ascending array
+        # each kNN list in CSR order, i.e. by ascending k
         kpos = np.sort(self.knn_positions, axis=1)
         K = kpos.shape[1]
-        knn_keys = (self.rows[kpos] * n + cols[kpos]).ravel()
-        # is k in N_K(j), for every edge (i, j) and every k in N_K(i)?
-        query = ej.astype(np.int64)[:, None] * n + cols[kpos][ei]
-        loc = np.minimum(np.searchsorted(knn_keys, query), len(knn_keys) - 1)
-        hit = knn_keys[loc] == query
+        in_knn = np.zeros(len(cols), dtype=bool)
+        in_knn[kpos] = True
+        # is k in N_K(j), for every edge (i, j) and every k in N_K(i)?  Then
+        # (j, k) is a stored entry, and pos is its CSR position
+        pos, found = self._positions(ej[:, None], cols[kpos][ei])
+        hit = found & in_knn[pos]
         # flat indices are C-contiguous, unlike np.nonzero's views of a 2-D mask
         flat = np.flatnonzero(hit)
         edge, slot = np.divmod(flat, K)
         return (
             edge,
             kpos[ei[edge], slot],
-            kpos.ravel()[loc.ravel()[flat]],
+            pos.ravel()[flat],
             np.count_nonzero(hit, axis=1),
         )
 
@@ -311,14 +314,10 @@ class Graph:
 
     def edge_position(self, i, j) -> int:
         """CSR position of edge (i, j); raises NonEdgeError if absent."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise NonEdgeError((i, j))
-        W = self.weights
-        lo, hi = W.indptr[i], W.indptr[i + 1]
-        row = W.indices[lo:hi]
-        k = np.searchsorted(row, j)
-        if k < hi - lo and row[k] == j:
-            return int(lo + k)
+        if 0 <= i < self.n and 0 <= j < self.n:
+            pos, found = self._positions(i, j)
+            if found:
+                return int(pos)
         raise NonEdgeError((i, j))
 
     def edge_weight(self, i, j) -> float:

@@ -45,7 +45,6 @@ class LaplacianOperator:
         )
         if wd.shape != (self._WD.nnz,):
             raise ShapeError("anisotropic weights not aligned with graph")
-        self.weights = weights
         self._WD.data = wd
         self._rowsum = self._WD @ np.ones(self.graph.n)
 

@@ -3,7 +3,8 @@
 Everything here works on dense matrices and explicit Python loops, never on
 the package's CSR code paths, so agreement is meaningful.  The exceptions
 are kept to check vectorized package code for exact equality:
-``min_cross_sqdist_blocked`` is the undeduplicated local-match kernel,
+``mirror_tagged_transpose`` finds each reversed entry through a sparse
+transpose, ``min_cross_sqdist_blocked`` is the undeduplicated local-match kernel,
 ``knn_positions_loop`` and ``mutual_structure_loop`` build the cached graph
 structures by per-node and per-edge loops over the CSR arrays,
 ``smooth_weights_directed`` evaluates the smooth field on every stored
@@ -149,6 +150,22 @@ def min_cross_sqdist_blocked(pair_k, pair_j, nbrs, f):
         diff = f[pair_k[sl], None, :] - f[nbrs[pair_j[sl]]]
         out[sl] = np.einsum("pkc,pkc->pk", diff, diff).min(axis=1)
     return out
+
+
+def mirror_tagged_transpose(graph):
+    """Graph.mirror by transposing a CSR copy whose data tag each position."""
+    import scipy.sparse as sp
+
+    W = graph.weights
+    tagged = sp.csr_array(
+        (np.arange(1, W.nnz + 1, dtype=np.float64), W.indices, W.indptr),
+        shape=W.shape,
+    )
+    T = tagged.T.tocsr()
+    T.sort_indices()
+    assert np.array_equal(T.indptr, W.indptr)
+    assert np.array_equal(T.indices, W.indices)
+    return T.data.astype(np.int64) - 1
 
 
 def knn_positions_loop(graph):

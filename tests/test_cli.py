@@ -152,6 +152,26 @@ class TestPropagate:
         # --T flag wins over config T=5: trace has warm(1 line for t=0) + 2 steps
         assert len(trace.read_text().splitlines()) == 3
 
+    def test_abbreviated_flags_win_over_config(self, tmp_path):
+        out = synth_moons(tmp_path)
+        train = tmp_path / "train.txt"
+        train.write_text("0 0\n79 1\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("K=4\nT=3\nvariant=plain\nsigma_f=5\nclamp_labels=no\n")
+        traces = {}
+        for name, flags in (
+            ("full", ["--sigma-f", 0.3, "--clamp-labels"]),
+            ("abbreviated", ["--sigma", 0.3, "--clamp"]),
+        ):
+            traces[name] = tmp_path / f"{name}.csv"
+            code = run_cli(
+                ["propagate", "--features", out / "features.txt", "--labels", train,
+                 "--config", cfg, *flags, "--trace", traces[name],
+                 "--out", tmp_path / f"{name}.txt"]
+            )
+            assert code == 0
+        assert traces["full"].read_bytes() == traces["abbreviated"].read_bytes()
+
     @pytest.mark.parametrize(
         "line, key",
         [

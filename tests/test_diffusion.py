@@ -266,6 +266,17 @@ class TestRunDiffusion:
             res = run_diffusion(cfg, g, state)
         assert decode_labels(res.f).tolist() == [0] * 10
 
+    def test_all_unlabeled_warning_holds_for_a_nonzero_state(self):
+        rng = np.random.default_rng(56)
+        _, g = random_knn_graph(rng, 10, 2)
+        f0 = rng.normal(size=(10, 2))
+        state = LabelState(f0, np.zeros(10, dtype=bool), 2)
+        cfg = DiffusionConfig(K=2, T=3, variant="isotropic")
+        with pytest.warns(UserWarning, match="no labeled nodes") as record:
+            run_diffusion(cfg, g, state)
+        message = str(record[0].message)
+        assert "zero" not in message and "class 0" not in message
+
     def test_energy_trace_layout(self, tmp_path):
         rng = np.random.default_rng(55)
         _, g = random_knn_graph(rng, 20, 3)

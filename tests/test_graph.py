@@ -28,6 +28,7 @@ from anisodiff.graph import (
 from oracles import (
     knn_bruteforce,
     knn_positions_loop,
+    mirror_tagged_transpose,
     mutual_structure_loop,
     random_knn_graph,
     sigma_x_bruteforce,
@@ -270,6 +271,46 @@ class TestGraphValidation:
         with pytest.raises(ParameterError):
             Graph(sp.csr_array(W))
 
+    def test_rejects_one_sided_entry(self):
+        W = sp.csr_array(([0.5], [1], [0, 1, 1]), shape=(2, 2))
+        with pytest.raises(ParameterError, match="not symmetric"):
+            Graph(W)
+
+    def test_rejects_duplicate_entry(self):
+        # (0, 1) stored twice: degrees 1.0 and 0.5, though each stored value
+        # has a stored mirror of the same value
+        W = sp.csr_array(([0.5, 0.5, 0.5], [1, 1, 0], [0, 2, 3]), shape=(2, 2))
+        with pytest.raises(ParameterError):
+            Graph(W)
+
+    def test_mirror_matches_tagged_transpose(self, tmp_path):
+        rng = np.random.default_rng(9)
+        for n, K in ((12, 1), (40, 5), (150, 8)):
+            _, g = random_knn_graph(rng, n, K)
+            assert np.array_equal(g.mirror, mirror_tagged_transpose(g))
+        # an edge list: random pairs, no kNN structure, two isolated nodes
+        i, j = np.triu_indices(48, 1)
+        pick = rng.choice(len(i), 150, replace=False)
+        w = rng.uniform(0.1, 1.0, 150)
+        path = tmp_path / "edges.txt"
+        lines = [f"{a} {b} {c:.17g}\n" for a, b, c in zip(i[pick], j[pick], w)]
+        path.write_text("".join(lines))
+        with pytest.warns(UserWarning, match="isolated"):
+            g = read_graph_triplets(path, n=50)
+        assert g.neighborhoods is None
+        assert np.array_equal(g.mirror, mirror_tagged_transpose(g))
+
+    def test_components_match_scipy(self):
+        from scipy.sparse.csgraph import connected_components
+
+        far = [[50.0, 50.0], [50.5, 50.0]]
+        X = np.concatenate([np.random.default_rng(10).normal(size=(30, 2)), far])
+        with pytest.warns(UserWarning, match="connected components"):
+            g = build_knn_graph(pairwise_distances(X), 1)
+        count, labels = connected_components(g.weights, directed=False)
+        assert g.num_components == count > 1
+        assert np.array_equal(g.components, labels)
+
     def test_mirror_permutation(self, triangle):
         data = triangle.weights.data
         mirrored = data[triangle.mirror]
@@ -367,6 +408,20 @@ class TestEdgePosition:
         i, j = next((i, j) for i, j in zeros if i != j)
         with pytest.raises(NonEdgeError):
             g.edge_position(int(i), int(j))
+
+    def test_matches_dense_lookup_for_every_pair(self):
+        _, g = random_knn_graph(np.random.default_rng(11), 25, 3)
+        stored = zip(g.rows.tolist(), g.weights.indices.tolist())
+        position = {pair: p for p, pair in enumerate(stored)}
+        # indices outside [0, n) too: a key i * n + j such as (0, n) = (1, 0)
+        # can name a stored entry
+        for i in range(-2, g.n + 2):
+            for j in range(-2, g.n + 2):
+                if (i, j) in position:
+                    assert g.edge_position(i, j) == position[i, j]
+                else:
+                    with pytest.raises(NonEdgeError):
+                        g.edge_position(i, j)
 
 
 class TestTripletRoundTrip:

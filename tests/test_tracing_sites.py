@@ -16,6 +16,13 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 EXPECTED_SPANS = {
     "data.load",
     "data.distance_matrix",
+    "graph.build",
+    "graph.knn",
+    "graph.sigma_x",
+    "graph.weights",
+    "graph.upper",
+    "graph.knn_positions",
+    "graph.match_structure",
     "laplacian.build",
     "laplacian.apply",
     "diffusivity.sqnorms",
@@ -24,8 +31,12 @@ EXPECTED_SPANS = {
     "diffusivity.local_match",
     "diffusion.run",
     "baselines.grf",
+    "diffusion.init",
+    "diffusion.snapshots",
     "diffusion.step",
     "diffusion.warm_start",
+    "diffusivity.variant",
+    "evaluation.benchmark",
     "graph.mutual_structure",
 }
 
