@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffusivity import VARIANTS, edge_sqnorms, variant_weights
+from .diffusivity import VARIANTS, MutualSums, edge_sqnorms, variant_weights
 from .errors import DivergenceError, InputError, ParameterError
 from .graph import Graph
 from .laplacian import LaplacianOperator
@@ -123,7 +123,8 @@ def _trajectory(
     f^t feed both the energy and the next step's diffusivity, so they are
     computed once, and only when one of the two reads them: with
     ``energies=False`` every energy_t is None.  One operator serves the
-    whole trajectory; a nonlinear step swaps in the new field.
+    whole trajectory; a nonlinear step swaps in the new field, and a smooth
+    one refills the same :class:`MutualSums`.
     """
     f = np.asarray(state.f, dtype=np.float64)
     if f.shape != (graph.n, state.c):
@@ -145,18 +146,21 @@ def _trajectory(
     upper = graph.upper
 
     def energy(weights, g2):
-        return float(weights.wD[upper] @ g2[upper]) if energies else None
+        return float(weights.wD[upper] @ g2) if energies else None
 
     g2 = None
     if energies or config.variant != "isotropic":
         g2 = edge_sqnorms(graph, f)
-    weights = variant_weights(graph, f, config.sigma_f, config.variant, sqnorms=g2)
+    sums = MutualSums(graph) if config.variant == "smooth" else None
+    weights = variant_weights(
+        graph, f, config.sigma_f, config.variant, sqnorms=g2, sums=sums
+    )
     op = LaplacianOperator(graph, weights)
     yield 0, f, energy(weights, g2)
     for t in range(1, config.T + 1):
         if t > 1 and recompute:
             weights = variant_weights(
-                graph, f, config.sigma_f, config.variant, sqnorms=g2
+                graph, f, config.sigma_f, config.variant, sqnorms=g2, sums=sums
             )
             op.set_weights(weights)
         f = op.step(f, config.delta)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ParameterError, ShapeError
 from .graph import TINY, Graph
@@ -49,9 +50,9 @@ def _sqdist(f: np.ndarray, a, b) -> np.ndarray:
 
 
 def edge_sqnorms(graph: Graph, f) -> np.ndarray:
-    """||f(j) - f(i)||^2 per stored edge, computed once per undirected pair."""
-    i, j, edge_of = graph.undirected_edges
-    return _sqdist(_check_f(graph, f), j, i)[edge_of]
+    """||f(j) - f(i)||^2 per undirected edge (i, j), in the order of ``upper``."""
+    i, j, _ = graph.undirected_edges
+    return _sqdist(_check_f(graph, f), j, i)
 
 
 def _check_sigma_f(sigma_f: float) -> None:
@@ -60,8 +61,9 @@ def _check_sigma_f(sigma_f: float) -> None:
 
 
 def _field_from_sqnorms(graph: Graph, g2, sigma_f: float) -> np.ndarray:
+    """q per undirected edge from the per-edge squared norms g2."""
     _check_sigma_f(sigma_f)
-    q = np.exp(-(graph.weights.data * g2) / (sigma_f * sigma_f))
+    q = np.exp(-(graph.edge_weights * g2) / (sigma_f * sigma_f))
     return np.maximum(q, TINY)
 
 
@@ -71,15 +73,26 @@ def gaussian_diffusivity(graph: Graph, f, sigma_f: float) -> np.ndarray:
     The squared edge gradient is w_ij * ||f(j) - f(i)||^2 with the Euclidean
     norm taken across the c output channels.  Values are floored at the
     smallest positive normal float so the field stays strictly positive.
+    Returns one value per stored entry, exactly symmetric.
     """
-    return _field_from_sqnorms(graph, edge_sqnorms(graph, f), sigma_f)
+    _, _, edge_of = graph.undirected_edges
+    return _field_from_sqnorms(graph, edge_sqnorms(graph, f), sigma_f)[edge_of]
 
 
 def _check_q(graph: Graph, q) -> np.ndarray:
+    """q per undirected edge, in the order of :attr:`Graph.upper`.
+
+    A q with one value per stored entry is read at the upper entries only,
+    so it must be exactly symmetric, as :func:`gaussian_diffusivity` gives.
+    """
     q = np.asarray(q, dtype=np.float64)
-    if q.shape != (graph.weights.nnz,):
+    up = graph.upper
+    if q.shape == (graph.weights.nnz,):
+        return q[up]
+    if q.shape != up.shape:
         raise ShapeError(
-            f"diffusivity has {q.shape} entries, graph stores {graph.weights.nnz}"
+            f"diffusivity has {q.shape} entries, graph stores {graph.weights.nnz} "
+            f"entries over {len(up)} edges"
         )
     return q
 
@@ -92,12 +105,42 @@ def symmetrize(graph: Graph, weights: AnisotropicWeights) -> AnisotropicWeights:
 
 
 def plain_weights(graph: Graph, q) -> AnisotropicWeights:
-    """w^D_ij = w_ij * q_ij."""
+    """w^D_ij = w_ij * q_ij, evaluated once per undirected edge.
+
+    ``q`` holds one value per undirected edge or per stored entry, as for
+    every weight field here; of the latter only the :attr:`Graph.upper`
+    entries are read, so it must be exactly symmetric.
+    """
     q = _check_q(graph, q)
-    return AnisotropicWeights(graph.weights.data * q, "plain")
+    _, _, edge_of = graph.undirected_edges
+    return AnisotropicWeights((graph.edge_weights * q)[edge_of], "plain")
 
 
-def smooth_weights(graph: Graph, q) -> AnisotropicWeights:
+class MutualSums:
+    """tri_e = sum_{k in N_K(i) & N_K(j)} q_ik q_kj for every edge e = (i, j).
+
+    One CSR matvec over :attr:`Graph.smooth_pattern`: the data of row e are
+    the q_kj, its columns the edge ids of (i, k), so the product adds
+    0 + q_ik q_kj + ... in ascending k.  The matrix owns its data buffer, so
+    each thread or trajectory needs its own instance; the graph is only read.
+    """
+
+    def __init__(self, graph: Graph):
+        _, indptr, ik, self._kj = graph.smooth_pattern
+        E = len(indptr) - 1
+        self._A = sp.csr_array(
+            (np.empty(len(ik)), ik, indptr), shape=(E, E), copy=False
+        )
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        # mode="clip" writes straight into out; the default buffers it
+        np.take(q, self._kj, out=self._A.data, mode="clip")
+        return self._A @ q
+
+
+def smooth_weights(
+    graph: Graph, q, *, sums: MutualSums | None = None
+) -> AnisotropicWeights:
     """Average the diffusivity over the mutual neighborhood of each edge.
 
     w^D_ij = sum_{k in N_K(i) & N_K(j)} w_ij (q_ij + q_ik q_kj) / (s_i + s_j)
@@ -105,20 +148,20 @@ def smooth_weights(graph: Graph, q) -> AnisotropicWeights:
     neighborhood fall back to the plain product w_ij q_ij, preserving strict
     positivity.  For an exactly symmetric q, as :func:`gaussian_diffusivity`
     gives, the formula is symmetric in i and j term by term and in the same
-    order of k, so it is evaluated once per undirected edge.
+    order of k, so it is evaluated once per undirected edge.  The sums over
+    k are one :class:`MutualSums` matvec; ``sums`` reuses one across calls.
     """
     q = _check_q(graph, q)
-    edge, pos_ik, pos_kj, counts = graph.mutual_structure
     i, j, edge_of = graph.undirected_edges
-    s = q[graph.knn_positions].sum(axis=1)
+    knn = graph.smooth_pattern[0]
+    s = q[knn].sum(axis=1)
     denom = s[i] + s[j]
     if (denom <= 0).any():
         raise AssertionError("diffusivity sums must be positive")
-    tri = np.bincount(edge, weights=q[pos_ik] * q[pos_kj], minlength=len(i))
-    up = graph.upper
-    w = graph.weights.data[up]
-    qu = q[up]
-    wd = np.where(counts > 0, w * (counts * qu + tri) / denom, w * qu)
+    tri = (MutualSums(graph) if sums is None else sums)(q)
+    counts = graph.mutual_structure[3]
+    w = graph.edge_weights
+    wd = np.where(counts > 0, w * (counts * q + tri) / denom, w * q)
     return AnisotropicWeights(wd[edge_of], "smooth")
 
 
@@ -144,7 +187,7 @@ def local_match_weights(graph: Graph, q, f, sigma_f: float) -> AnisotropicWeight
     is the scale that ``q`` was computed with.
     """
     _check_sigma_f(sigma_f)
-    q = _check_q(graph, q)
+    q = _check_q(graph, q)[graph.undirected_edges[2]]
     f = _check_f(graph, f)
     # raises ParameterError for a graph without kNN neighborhoods
     _, _, slot_map = graph.match_structure
@@ -157,13 +200,15 @@ def local_match_weights(graph: Graph, q, f, sigma_f: float) -> AnisotropicWeight
 
 
 def variant_weights(
-    graph: Graph, f, sigma_f: float, variant: str, *, sqnorms=None
+    graph: Graph, f, sigma_f: float, variant: str, *, sqnorms=None, sums=None
 ) -> AnisotropicWeights:
     """Compute the requested anisotropic weight field from function values.
 
     ``"isotropic"`` is the special case q == 1: the graph weights themselves.
     ``sqnorms`` may pass precomputed :func:`edge_sqnorms` output to avoid
-    recomputing it inside a diffusion loop.
+    recomputing it inside a diffusion loop, and ``sums`` a
+    :class:`MutualSums` for the smooth field to reuse.  q is computed per
+    undirected edge; ``wD`` holds one value per stored entry.
     """
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -175,5 +220,5 @@ def variant_weights(
     if variant == "plain":
         return plain_weights(graph, q)
     if variant == "smooth":
-        return smooth_weights(graph, q)
+        return smooth_weights(graph, q, sums=sums)
     return local_match_weights(graph, q, f, sigma_f)

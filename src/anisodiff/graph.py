@@ -186,8 +186,13 @@ class Graph:
 
         Raises if the sparsity pattern itself is asymmetric.
         """
-        pos, found = self._positions(self.weights.indices, self.rows)
-        if not found.all():
+        # sorting the transposed keys j * n + i lists, for each position of
+        # the keys, the entry that transposes to it; p is an involution, so
+        # that inverse permutation is p itself.  _validate has checked that
+        # the keys are distinct, so every sort gives this one permutation.
+        transposed = self.weights.indices * self.n + self.rows
+        pos = np.argsort(transposed)
+        if not np.array_equal(transposed[pos], self._keys):
             raise ParameterError("graph sparsity pattern is not symmetric")
         return pos
 
@@ -209,6 +214,13 @@ class Graph:
         edge_of = np.empty(self.weights.nnz, dtype=np.int64)
         edge_of[up] = edge_of[self.mirror[up]] = np.arange(len(up))
         return self.rows[up], self.weights.indices[up], edge_of
+
+    @cached_property
+    def edge_weights(self) -> np.ndarray:
+        """w_ij of every undirected edge in the order of :attr:`upper` (read-only)."""
+        w = self.weights.data[self.upper]
+        w.flags.writeable = False
+        return w
 
     @cached_property
     def knn_positions(self) -> np.ndarray:
@@ -251,6 +263,29 @@ class Graph:
             kpos[ei[edge], slot],
             pos.ravel()[flat],
             np.count_nonzero(hit, axis=1),
+        )
+
+    @cached_property
+    def smooth_pattern(self):
+        """Index arrays of the smooth field, in edge ids of :attr:`undirected_edges`.
+
+        Returns (knn, indptr, ik, kj): ``knn`` is the (n, K) edge ids of
+        :attr:`knn_positions`; ``indptr`` and ``ik`` are an int32 CSR pattern
+        with one row per edge e = (i, j) listing, in ascending k, the edge
+        ids of (i, k) over the k in N_K(i) & N_K(j) of :attr:`mutual_structure`,
+        and ``kj`` holds the edge ids of (j, k) for the same entries.  With
+        data ``q[kj]`` the pattern's matvec against q sums q_ik q_kj per edge.
+        """
+        edge, pos_ik, pos_kj, counts = self.mutual_structure
+        _, _, edge_of = self.undirected_edges
+        idx = np.int32 if max(len(edge), len(counts)) < 2**31 else np.int64
+        indptr = np.zeros(len(counts) + 1, dtype=idx)
+        np.cumsum(counts, out=indptr[1:])
+        return (
+            edge_of[self.knn_positions],
+            indptr,
+            edge_of[pos_ik].astype(idx),
+            edge_of[pos_kj].astype(idx),
         )
 
     @cached_property

@@ -77,5 +77,4 @@ def regularizer_energy(
     ``weights=None`` evaluates the isotropic energy (wD = w).
     """
     wd = graph.weights.data if weights is None else np.asarray(weights.wD)
-    p = graph.upper
-    return float(wd[p] @ edge_sqnorms(graph, f)[p])
+    return float(wd[graph.upper] @ edge_sqnorms(graph, f))

@@ -41,13 +41,21 @@ def _run(argv, log=None):
         log.append(buf.getvalue().rstrip("\n"))
 
 
-def _synth(work: Path, out: Path, name: str, n: int, seed: int) -> Path:
+def _synth(work: Path, out: Path, name: str, n: int, seed: int, *kind) -> Path:
     data = work / name
-    _run(["synth", "--kind", "two-moons", "--n", n, "--noise", "0.1",
-          "--seed", seed, "--out", data])
+    kind = kind or ("--kind", "two-moons", "--noise", "0.1")
+    _run(["synth", *kind, "--n", n, "--seed", seed, "--out", data])
     for part in ("features", "labels"):
         (out / f"{name}_{part}.txt").write_bytes((data / f"{part}.txt").read_bytes())
     return data
+
+
+def _train_labels(data: Path, path: Path, per_class: int) -> Path:
+    """The first ``per_class`` points of every class as the labeled subset."""
+    _, cls = read_label_pairs(data / "labels.txt")
+    first = np.concatenate([np.nonzero(cls == c)[0][:per_class] for c in np.unique(cls)])
+    write_labels(cls, path, indices=first)
+    return path
 
 
 def generate(out_dir) -> None:
@@ -55,6 +63,7 @@ def generate(out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log: list[str] = []
+    blobs_log: list[str] = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
 
@@ -78,10 +87,7 @@ def generate(out_dir) -> None:
 
         # propagation runs: two labels per class, each variant and mode
         moons = _synth(work, out, "moons200", 200, 7)
-        _, cls = read_label_pairs(moons / "labels.txt")
-        train = work / "train.txt"
-        first = np.concatenate([np.nonzero(cls == c)[0][:2] for c in (0, 1)])
-        write_labels(cls, train, indices=first)
+        train = _train_labels(moons, work / "train.txt", 2)
         inputs = ["--features", moons / "features.txt", "--labels", train,
                   "--truth", moons / "labels.txt"]
         common = inputs + ["--K", 10, "--T", 40, "--sigma-f", "0.5"]
@@ -95,7 +101,21 @@ def generate(out_dir) -> None:
               "--trace", f"{stem}_trace.csv", "--out", f"{stem}_pred.txt"], log)
         for K in (5, 10):
             _run(["grf", *inputs, "--K", K, "--out", out / f"grf_K{K}_pred.txt"], log)
+
+        # multi-class (c = 4) nonlinear runs of the per-edge variants, with
+        # their own stdout file so the two-class files above stay as written
+        blobs = _synth(work, out, "blobs300", 300, 3, "--kind", "blobs",
+                       "--classes", 4, "--separation", 3.0)
+        train = _train_labels(blobs, work / "blobs_train.txt", 2)
+        common = ["--features", blobs / "features.txt", "--labels", train,
+                  "--truth", blobs / "labels.txt", "--K", 10, "--T", 40,
+                  "--sigma-f", "0.5", "--mode", "nonlinear"]
+        for variant in ("plain", "smooth"):
+            stem = out / f"blobs_propagate_{variant}_nonlinear"
+            _run(["propagate", *common, "--variant", variant,
+                  "--trace", f"{stem}_trace.csv", "--out", f"{stem}_pred.txt"], blobs_log)
     (out / "stdout.txt").write_text("\n".join(log) + "\n")
+    (out / "blobs_stdout.txt").write_text("\n".join(blobs_log) + "\n")
 
 
 if __name__ == "__main__":

@@ -254,11 +254,13 @@ def trajectory_rebuild(config, graph, state):
     upper = graph.upper
     energies = np.empty(config.T + 1)
     g2 = _edge_sqnorms_gather(graph, f)
-    weights = variant_weights(graph, f, config.sigma_f, config.variant, sqnorms=g2)
+    weights = variant_weights(graph, f, config.sigma_f, config.variant, sqnorms=g2[upper])
     energies[0] = float(weights.wD[upper] @ g2[upper])
     for t in range(1, config.T + 1):
         if t > 1 and recompute:
-            weights = variant_weights(graph, f, config.sigma_f, config.variant, sqnorms=g2)
+            weights = variant_weights(
+                graph, f, config.sigma_f, config.variant, sqnorms=g2[upper]
+            )
         f = LaplacianOperator(graph, weights).step(f, config.delta)
         if config.clamp_labels:
             f[clamp_rows] = clamp_values

@@ -381,6 +381,38 @@ class TestSharedGraphIsNeverWritten:
             assert np.array_equal(got_a, LaplacianOperator(g, wa)(f))
             assert np.array_equal(got_b, LaplacianOperator(g, wb).step(f, 0.5))
 
+    def test_concurrent_smooth_runs_match_sequential_ones(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from anisodiff.data import two_moons
+        from anisodiff.graph import build_knn_graph
+
+        ds = two_moons(300, 0.1, seed=5)
+        state = init_labels([(0, ds.labels[0]), (299, ds.labels[299])], 300, 2)
+        configs = [
+            DiffusionConfig(K=10, T=40, sigma_f=s, variant="smooth", mode="nonlinear")
+            for s in (0.05, 0.2, 0.5, 2.0)
+        ]
+        g = build_knn_graph(ds.distance_matrix, 10)
+        expected = [run_diffusion(cfg, g, state) for cfg in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(4):
+                # a fresh graph, so its cached structures are built concurrently too
+                shared = build_knn_graph(ds.distance_matrix, 10)
+                with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+                    futures = [
+                        pool.submit(run_diffusion, cfg, shared, state) for cfg in configs
+                    ]
+                    got = [fut.result(timeout=60) for fut in futures]
+                for res, ref in zip(got, expected):
+                    assert np.array_equal(res.f, ref.f)
+                    assert np.array_equal(res.energies, ref.energies)
+        finally:
+            sys.setswitchinterval(interval)
+
 
 @settings(max_examples=25, deadline=None)
 @given(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from anisodiff.diffusivity import (
     AnisotropicWeights,
+    MutualSums,
     gaussian_diffusivity,
     local_match_weights,
     plain_weights,
@@ -166,6 +167,14 @@ class TestSmoothWeights:
             expected = smooth_weights_directed(g, q)
             assert np.array_equal(smooth_weights(g, q).wD, expected)
 
+    def test_reused_sums_give_the_same_field(self):
+        rng = np.random.default_rng(16)
+        _, g = random_knn_graph(rng, 60, 5)
+        sums = MutualSums(g)
+        for sigma_f in (0.3, 0.3, 1.0):
+            q = gaussian_diffusivity(g, rng.normal(size=(60, 2)), sigma_f)
+            assert np.array_equal(smooth_weights(g, q, sums=sums).wD, smooth_weights(g, q).wD)
+
     def test_exactly_symmetric_and_positive(self):
         rng = np.random.default_rng(15)
         _, g = random_knn_graph(rng, 50, 5)
@@ -173,6 +182,55 @@ class TestSmoothWeights:
         wd = variant_weights(g, f, 0.1, "smooth")
         assert (wd.wD > 0).all()
         assert np.array_equal(wd.wD[g.mirror], wd.wD)
+
+
+@pytest.mark.parametrize("weights", [plain_weights, smooth_weights, local_match_weights])
+def test_q_per_edge_or_per_stored_entry_only(weights):
+    rng = np.random.default_rng(17)
+    _, g = random_knn_graph(rng, 30, 4)
+    f = rng.normal(size=(30, 2))
+    q = gaussian_diffusivity(g, f, 0.5)
+    args = (f, 0.5) if weights is local_match_weights else ()
+    assert np.array_equal(weights(g, q[g.upper], *args).wD, weights(g, q, *args).wD)
+    for bad in (q[:-1], np.append(q, 1.0), q[g.upper][1:]):
+        with pytest.raises(ShapeError):
+            weights(g, bad, *args)
+
+
+class TestMutualSums:
+    """The CSR matvec adds the same products in the same order as bincount."""
+
+    @staticmethod
+    def _assert_matches_bincount(g, q):
+        edge, pos_ik, pos_kj, counts = g.mutual_structure
+        _, indptr, ik, kj = g.smooth_pattern
+        assert indptr.dtype == ik.dtype == kj.dtype == np.int32
+        assert np.array_equal(np.diff(indptr), counts)
+        expected = np.bincount(edge, weights=q[pos_ik] * q[pos_kj], minlength=len(counts))
+        assert np.array_equal(MutualSums(g)(q[g.upper]), expected)
+        return counts
+
+    @pytest.mark.parametrize("K", [1, 3, 8])
+    def test_random_knn_graphs(self, K):
+        rng = np.random.default_rng(80 + K)
+        empty = 0
+        for n in (K + 1, 40, 150):
+            _, g = random_knn_graph(rng, n, K)
+            for sigma_f in (0.05, 0.5, 5.0):
+                q = gaussian_diffusivity(g, rng.normal(size=(n, 2)), sigma_f)
+                counts = self._assert_matches_bincount(g, q)
+            empty += int((counts == 0).sum())
+        # edges with an empty mutual neighborhood have an empty CSR row
+        assert empty > 0
+
+    def test_duplicate_points(self):
+        from anisodiff.graph import build_knn_graph, pairwise_distances
+
+        rng = np.random.default_rng(84)
+        X = np.round(rng.normal(size=(300, 2)), 1)
+        g = build_knn_graph(pairwise_distances(X), 8)
+        for f in (rng.normal(size=(300, 2)), rng.integers(0, 2, size=(300, 2)).astype(float)):
+            self._assert_matches_bincount(g, gaussian_diffusivity(g, f, 0.2))
 
 
 class TestLocalMatchWeights:
