@@ -80,7 +80,7 @@ def gaussian_diffusivity(graph: Graph, f, sigma_f: float) -> np.ndarray:
 
 
 def _check_q(graph: Graph, q) -> np.ndarray:
-    """q per undirected edge, in the order of :attr:`Graph.upper`.
+    """q per undirected edge, in the order of :attr:`Graph.upper`, all > 0.
 
     A q with one value per stored entry is read at the upper entries only,
     so it must be exactly symmetric, as :func:`gaussian_diffusivity` gives.
@@ -88,12 +88,15 @@ def _check_q(graph: Graph, q) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     up = graph.upper
     if q.shape == (graph.weights.nnz,):
-        return q[up]
-    if q.shape != up.shape:
+        q = q[up]
+    elif q.shape != up.shape:
         raise ShapeError(
             f"diffusivity has {q.shape} entries, graph stores {graph.weights.nnz} "
             f"entries over {len(up)} edges"
         )
+    # not > 0 also catches NaN
+    if not (q > 0).all():
+        raise ParameterError("diffusivity must be positive on every edge")
     return q
 
 
@@ -119,14 +122,15 @@ def plain_weights(graph: Graph, q) -> AnisotropicWeights:
 class MutualSums:
     """tri_e = sum_{k in N_K(i) & N_K(j)} q_ik q_kj for every edge e = (i, j).
 
-    One CSR matvec over :attr:`Graph.smooth_pattern`: the data of row e are
-    the q_kj, its columns the edge ids of (i, k), so the product adds
-    0 + q_ik q_kj + ... in ascending k.  The matrix owns its data buffer, so
-    each thread or trajectory needs its own instance; the graph is only read.
+    One CSR matvec over the int32 pattern of :attr:`Graph.mutual_structure`:
+    the data of row e are the q_kj, its columns the edge ids of (i, k), so
+    the product adds 0 + q_ik q_kj + ... in ascending k.  The matrix owns its
+    data buffer, so each thread or trajectory needs its own instance; the
+    graph is only read.
     """
 
     def __init__(self, graph: Graph):
-        _, indptr, ik, self._kj = graph.smooth_pattern
+        _, indptr, ik, self._kj = graph.mutual_structure
         E = len(indptr) - 1
         self._A = sp.csr_array(
             (np.empty(len(ik)), ik, indptr), shape=(E, E), copy=False
@@ -153,13 +157,12 @@ def smooth_weights(
     """
     q = _check_q(graph, q)
     i, j, edge_of = graph.undirected_edges
-    knn = graph.smooth_pattern[0]
+    knn, indptr, _, _ = graph.mutual_structure
+    # q > 0 and K >= 1 make every s, so every denominator, positive
     s = q[knn].sum(axis=1)
     denom = s[i] + s[j]
-    if (denom <= 0).any():
-        raise AssertionError("diffusivity sums must be positive")
     tri = (MutualSums(graph) if sums is None else sums)(q)
-    counts = graph.mutual_structure[3]
+    counts = np.diff(indptr)
     w = graph.edge_weights
     wd = np.where(counts > 0, w * (counts * q + tri) / denom, w * q)
     return AnisotropicWeights(wd[edge_of], "smooth")
@@ -190,7 +193,7 @@ def local_match_weights(graph: Graph, q, f, sigma_f: float) -> AnisotropicWeight
     q = _check_q(graph, q)[graph.undirected_edges[2]]
     f = _check_f(graph, f)
     # raises ParameterError for a graph without kNN neighborhoods
-    _, _, slot_map = graph.match_structure
+    _, slot_map = graph.match_structure
     K = slot_map.shape[1]
     mu = _min_cross_sqdist(graph, f)
     qstar = np.exp(-mu / (sigma_f * sigma_f))

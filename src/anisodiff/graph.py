@@ -89,6 +89,25 @@ def max_asymmetry(D) -> float:
     ]))
 
 
+def validate_neighborhoods(neighborhoods, n: int) -> np.ndarray:
+    """Check (n, K) kNN index lists: K >= 1 and every entry in [0, n)."""
+    try:
+        nbrs = np.asarray(neighborhoods)
+    except ValueError:
+        raise ParameterError("kNN lists must be an (n, K) array") from None
+    # a cast to int64 would silently truncate fractional entries
+    if not np.issubdtype(nbrs.dtype, np.integer):
+        raise ParameterError(f"kNN lists must hold integer indices, got {nbrs.dtype}")
+    nbrs = nbrs.astype(np.int64, copy=False)
+    if nbrs.ndim != 2 or nbrs.shape[0] != n:
+        raise ParameterError(f"kNN lists must have shape (n, K) with n={n}, got {nbrs.shape}")
+    if nbrs.shape[1] < 1:
+        raise ParameterError("kNN lists must hold K >= 1 neighbors per node")
+    if ((nbrs < 0) | (nbrs >= n)).any():
+        raise ParameterError(f"kNN list entries must lie in [0, {n})")
+    return nbrs
+
+
 def pairwise_distances(features) -> np.ndarray:
     """Euclidean distance matrix of an n x d feature array."""
     X = validate_features(features)
@@ -114,8 +133,8 @@ class Graph:
         W.sort_indices()
         self.weights = W
         self.n = W.shape[0]
-        self.neighborhoods = None if neighborhoods is None else np.asarray(
-            neighborhoods, dtype=np.int64
+        self.neighborhoods = None if neighborhoods is None else validate_neighborhoods(
+            neighborhoods, self.n
         )
         self._validate()
         # Degrees via the same matvec path used by the Laplacian, so that
@@ -236,56 +255,35 @@ class Graph:
 
     @cached_property
     def mutual_structure(self):
-        """Flattened mutual-neighborhood structure for the smooth diffusivity.
+        """Index arrays of the smooth field, in edge ids of :attr:`undirected_edges`.
 
-        Returns (edge, pos_ik, pos_kj, counts) over the undirected edges of
-        :attr:`undirected_edges`: for edge e = (i, j), the common kNN members
-        k of i and j contribute one entry with the CSR positions of (i, k)
-        and (j, k); ``counts[e]`` is |N_K(i) & N_K(j)|.  k values are
-        enumerated in ascending order.
+        Returns (knn, indptr, ik, kj).  ``knn`` is the (n, K) edge ids of the
+        kNN edges (i, neighborhoods[i, a]) in list order.  ``indptr`` and
+        ``ik`` are an int32 CSR pattern with one row per edge e = (i, j)
+        listing, in ascending k, the edge ids of (i, k) over the k in
+        N_K(i) & N_K(j), so ``np.diff(indptr)`` is |N_K(i) & N_K(j)|; ``kj``
+        holds the edge ids of (j, k) for the same entries.  With data
+        ``q[kj]`` the pattern's matvec against q sums q_ik q_kj per edge.
         """
         cols = self.weights.indices
-        ei, ej, _ = self.undirected_edges
+        ei, ej, edge_of = self.undirected_edges
         # each kNN list in CSR order, i.e. by ascending k
         kpos = np.sort(self.knn_positions, axis=1)
-        K = kpos.shape[1]
         in_knn = np.zeros(len(cols), dtype=bool)
         in_knn[kpos] = True
         # is k in N_K(j), for every edge (i, j) and every k in N_K(i)?  Then
         # (j, k) is a stored entry, and pos is its CSR position
         pos, found = self._positions(ej[:, None], cols[kpos][ei])
         hit = found & in_knn[pos]
-        # flat indices are C-contiguous, unlike np.nonzero's views of a 2-D mask
-        flat = np.flatnonzero(hit)
-        edge, slot = np.divmod(flat, K)
-        return (
-            edge,
-            kpos[ei[edge], slot],
-            pos.ravel()[flat],
-            np.count_nonzero(hit, axis=1),
-        )
-
-    @cached_property
-    def smooth_pattern(self):
-        """Index arrays of the smooth field, in edge ids of :attr:`undirected_edges`.
-
-        Returns (knn, indptr, ik, kj): ``knn`` is the (n, K) edge ids of
-        :attr:`knn_positions`; ``indptr`` and ``ik`` are an int32 CSR pattern
-        with one row per edge e = (i, j) listing, in ascending k, the edge
-        ids of (i, k) over the k in N_K(i) & N_K(j) of :attr:`mutual_structure`,
-        and ``kj`` holds the edge ids of (j, k) for the same entries.  With
-        data ``q[kj]`` the pattern's matvec against q sums q_ik q_kj per edge.
-        """
-        edge, pos_ik, pos_kj, counts = self.mutual_structure
-        _, _, edge_of = self.undirected_edges
-        idx = np.int32 if max(len(edge), len(counts)) < 2**31 else np.int64
-        indptr = np.zeros(len(counts) + 1, dtype=idx)
-        np.cumsum(counts, out=indptr[1:])
+        idx = np.int32 if hit.size < 2**31 else np.int64
+        indptr = np.zeros(len(hit) + 1, dtype=idx)
+        np.cumsum(np.count_nonzero(hit, axis=1), out=indptr[1:])
+        # a 2-D boolean mask reads its entries row by row, so by edge, then k
         return (
             edge_of[self.knn_positions],
             indptr,
-            edge_of[pos_ik].astype(idx),
-            edge_of[pos_kj].astype(idx),
+            edge_of[kpos].astype(idx)[ei][hit],
+            edge_of[pos[hit]].astype(idx),
         )
 
     @cached_property
@@ -295,20 +293,17 @@ class Graph:
         Every directed edge (i, j) needs, for each k in N_K(i), the best
         cross-pair diffusivity against N_K(j); that value depends on (k, j)
         only, so it is computed once per distinct pair.  Returns
-        (pair_k, pair_j, slot_map) where slot_map[p, a] is the pair index for
-        edge position p and neighbor slot a.
+        (pairs, slot_map): the ascending keys k * n + j of the distinct
+        pairs, and slot_map[p, a], the index into ``pairs`` for edge position
+        p and neighbor slot a.
         """
         if self.neighborhoods is None:
             raise ParameterError("graph was not built from kNN neighborhoods")
-        nbrs = self.neighborhoods
-        slot_k = nbrs[self.rows]
-        flat = slot_k.astype(np.int64) * self.n + self.weights.indices[:, None]
-        uniq, inverse = np.unique(flat, return_inverse=True)
-        return (
-            (uniq // self.n).astype(np.int64),
-            (uniq % self.n).astype(np.int64),
-            inverse.reshape(slot_k.shape).astype(np.int64),
-        )
+        keys = self.neighborhoods[self.rows]
+        keys *= self.n
+        keys += self.weights.indices[:, None]
+        pairs, inverse = np.unique(keys, return_inverse=True)
+        return pairs, inverse.reshape(keys.shape)
 
     @cached_property
     def cross_pairs(self):
@@ -319,13 +314,14 @@ class Graph:
         pairs, and the distance does not depend on their order, so each
         unordered pair is stored once.  Returns (cross_a, cross_b, cross_map)
         with cross_a <= cross_b and cross_map[b, p] the index of the pair
-        {pair_k[p], neighborhoods[pair_j[p], b]}; the (K, P) layout puts the
-        min over b along the outer axis, which reduces fastest.
+        {k, neighborhoods[j, b]} for pairs[p] = k * n + j; the (K, P) layout
+        puts the min over b along the outer axis, which reduces fastest.
 
         Built on the first local-match evaluation, not with match_structure,
         so graph set-up does not pay for it.
         """
-        pair_k, pair_j, _ = self.match_structure
+        pairs, _ = self.match_structure
+        pair_k, pair_j = np.divmod(pairs, self.n)
         l = np.ascontiguousarray(self.neighborhoods[pair_j].T)
         key = np.minimum(pair_k, l)
         key *= self.n
@@ -345,7 +341,7 @@ class Graph:
         rank -= 1
         cross_map = np.empty_like(rank)
         cross_map[order] = rank
-        return uniq // self.n, uniq % self.n, cross_map.reshape(-1, len(pair_k))
+        return uniq // self.n, uniq % self.n, cross_map.reshape(-1, len(pairs))
 
     def edge_position(self, i, j) -> int:
         """CSR position of edge (i, j); raises NonEdgeError if absent."""
@@ -406,9 +402,7 @@ def auto_sigma_x(dist, neighborhoods) -> float:
     exponent is O(1) at typical neighbor range.
     """
     D = np.asarray(dist, dtype=np.float64)
-    nbrs = np.asarray(neighborhoods, dtype=np.int64)
-    if nbrs.size == 0:
-        raise ParameterError("neighborhoods are empty")
+    nbrs = validate_neighborhoods(neighborhoods, len(D))
     mean = float(np.take_along_axis(D, nbrs, axis=1).mean())
     if mean == 0.0:
         raise DegenerateDataError("all neighbor distances are zero")
@@ -424,7 +418,7 @@ def gaussian_weights(dist, sigma_x: float, neighborhoods) -> Graph:
     if not sigma_x > 0:
         raise ParameterError(f"sigma_x must be positive, got {sigma_x}")
     D = np.asarray(dist, dtype=np.float64)
-    nbrs = np.asarray(neighborhoods, dtype=np.int64)
+    nbrs = validate_neighborhoods(neighborhoods, len(D))
     n, K = nbrs.shape
     r = np.repeat(np.arange(n, dtype=np.int64), K)
     c = nbrs.ravel()

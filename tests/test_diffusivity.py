@@ -23,6 +23,7 @@ from oracles import (
     gaussian_diffusivity_bruteforce,
     local_match_weights_bruteforce,
     min_cross_sqdist_blocked,
+    mutual_structure_loop,
     random_knn_graph,
     smooth_weights_bruteforce,
     smooth_weights_directed,
@@ -127,7 +128,7 @@ class TestSmoothWeights:
         q = gaussian_diffusivity(g, f, 0.8)
         wd = smooth_weights(g, q)
         # counts are per undirected edge, in the order of g.upper
-        _, _, _, counts = g.mutual_structure
+        counts = np.diff(g.mutual_structure[1])
         plain = g.weights.data * q
         empty = g.upper[counts == 0]
         assert empty.size
@@ -197,17 +198,40 @@ def test_q_per_edge_or_per_stored_entry_only(weights):
             weights(g, bad, *args)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("weights", [plain_weights, smooth_weights, local_match_weights])
+def test_non_positive_diffusivity_raises(weights, bad):
+    rng = np.random.default_rng(18)
+    _, g = random_knn_graph(rng, 30, 4)
+    f = rng.normal(size=(30, 2))
+    q = gaussian_diffusivity(g, f, 0.5)
+    args = (f, 0.5) if weights is local_match_weights else ()
+    p = g.upper[3]
+    per_entry = q.copy()
+    per_entry[p] = per_entry[g.mirror[p]] = bad
+    per_edge = q[g.upper]
+    per_edge[3] = bad
+    for q_bad in (per_entry, per_edge):
+        with pytest.raises(ParameterError, match="positive"):
+            weights(g, q_bad, *args)
+
+
 class TestMutualSums:
     """The CSR matvec adds the same products in the same order as bincount."""
 
     @staticmethod
-    def _assert_matches_bincount(g, q):
-        edge, pos_ik, pos_kj, counts = g.mutual_structure
-        _, indptr, ik, kj = g.smooth_pattern
+    def _assert_matches_bincount(g, qs):
+        """Sums of every q in qs against the loop oracle's directed entries,
+        read at the upper edges; returns the per-edge counts."""
+        edge, pos_ik, pos_kj, counts = mutual_structure_loop(g)
+        counts = counts[g.upper]
+        _, indptr, ik, kj = g.mutual_structure
         assert indptr.dtype == ik.dtype == kj.dtype == np.int32
         assert np.array_equal(np.diff(indptr), counts)
-        expected = np.bincount(edge, weights=q[pos_ik] * q[pos_kj], minlength=len(counts))
-        assert np.array_equal(MutualSums(g)(q[g.upper]), expected)
+        for q in qs:
+            terms = q[pos_ik] * q[pos_kj]
+            expected = np.bincount(edge, weights=terms, minlength=g.weights.nnz)[g.upper]
+            assert np.array_equal(MutualSums(g)(q[g.upper]), expected)
         return counts
 
     @pytest.mark.parametrize("K", [1, 3, 8])
@@ -216,9 +240,11 @@ class TestMutualSums:
         empty = 0
         for n in (K + 1, 40, 150):
             _, g = random_knn_graph(rng, n, K)
-            for sigma_f in (0.05, 0.5, 5.0):
-                q = gaussian_diffusivity(g, rng.normal(size=(n, 2)), sigma_f)
-                counts = self._assert_matches_bincount(g, q)
+            qs = [
+                gaussian_diffusivity(g, rng.normal(size=(n, 2)), sigma_f)
+                for sigma_f in (0.05, 0.5, 5.0)
+            ]
+            counts = self._assert_matches_bincount(g, qs)
             empty += int((counts == 0).sum())
         # edges with an empty mutual neighborhood have an empty CSR row
         assert empty > 0
@@ -229,8 +255,8 @@ class TestMutualSums:
         rng = np.random.default_rng(84)
         X = np.round(rng.normal(size=(300, 2)), 1)
         g = build_knn_graph(pairwise_distances(X), 8)
-        for f in (rng.normal(size=(300, 2)), rng.integers(0, 2, size=(300, 2)).astype(float)):
-            self._assert_matches_bincount(g, gaussian_diffusivity(g, f, 0.2))
+        fs = (rng.normal(size=(300, 2)), rng.integers(0, 2, size=(300, 2)).astype(float))
+        self._assert_matches_bincount(g, [gaussian_diffusivity(g, f, 0.2) for f in fs])
 
 
 class TestLocalMatchWeights:
@@ -268,7 +294,8 @@ class TestLocalMatchWeights:
         rng = np.random.default_rng(18)
         _, g = random_knn_graph(rng, 35, 5)
         K = 5
-        pair_k, pair_j, slot_map = g.match_structure
+        pairs, slot_map = g.match_structure
+        pair_k, pair_j = np.divmod(pairs, g.n)
         fs = [
             rng.normal(size=(35, 1)),
             rng.normal(size=(35, 3)),

@@ -332,7 +332,8 @@ class TestGraphValidation:
     def test_cross_pairs_map_every_slot_to_its_unordered_pair(self):
         rng = np.random.default_rng(4)
         _, g = random_knn_graph(rng, 40, 5)
-        pair_k, pair_j, _ = g.match_structure
+        pairs, _ = g.match_structure
+        pair_k, pair_j = np.divmod(pairs, g.n)
         cross_a, cross_b, cross_map = g.cross_pairs
         keys = list(zip(cross_a.tolist(), cross_b.tolist()))
         assert keys == sorted(set(keys))
@@ -346,21 +347,28 @@ class TestGraphValidation:
 
 class TestStructuresMatchLoopReferences:
     @staticmethod
-    def _upper_entries(g, structure):
-        """The entries of a directed mutual structure that belong to upper
-        edges, with edges renumbered in the order of g.upper."""
-        edge, pos_ik, pos_kj, counts = structure
-        index = np.full(g.weights.nnz, -1)
-        index[g.upper] = np.arange(len(g.upper))
-        keep = index[edge] >= 0
-        return index[edge][keep], pos_ik[keep], pos_kj[keep], counts[g.upper]
+    def _smooth_pattern(g):
+        """(knn, indptr, ik, kj) from the loop references: the entries of the
+        upper edges, in ascending position, with positions mapped to edge ids."""
+        edge, pos_ik, pos_kj, counts = mutual_structure_loop(g)
+        _, _, edge_of = g.undirected_edges
+        keep = g.rows[edge] < g.weights.indices[edge]
+        indptr = np.concatenate([[0], np.cumsum(counts[g.upper])])
+        return (
+            edge_of[knn_positions_loop(g)],
+            indptr,
+            edge_of[pos_ik[keep]],
+            edge_of[pos_kj[keep]],
+        )
 
     def _assert_matches(self, g):
-        pairs = [(g.knn_positions, knn_positions_loop(g))]
-        pairs += zip(g.mutual_structure, self._upper_entries(g, mutual_structure_loop(g)))
-        for got, ref in pairs:
+        knn, *pattern = g.mutual_structure
+        ref_knn, *ref_pattern = self._smooth_pattern(g)
+        pairs = [(g.knn_positions, knn_positions_loop(g), np.int64), (knn, ref_knn, np.int64)]
+        pairs += [(got, ref, np.int32) for got, ref in zip(pattern, ref_pattern)]
+        for got, ref, dtype in pairs:
             assert np.array_equal(got, ref)
-            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert got.dtype == dtype and got.flags.c_contiguous
 
     @pytest.mark.parametrize("K", [1, 3, 8])
     def test_random_knn_graphs(self, K):
@@ -387,6 +395,42 @@ class TestStructuresMatchLoopReferences:
         g = Graph(W, neighborhoods=[[1], [0], [0]])
         with pytest.raises(ParameterError, match="node 2"):
             g.knn_positions
+
+
+class TestNeighborhoodValidation:
+    """kNN lists are checked where they enter the package: ``Graph``,
+    ``auto_sigma_x`` and ``gaussian_weights`` all raise ParameterError."""
+
+    BAD_LISTS = {
+        # on the path below, the key 2 * 4 - 1 of (2, -1) is the key of the
+        # stored entry (1, 3), and auto_sigma_x would read column n - 2
+        "negative_entry": [[1], [2], [-2], [2]],
+        "entry_minus_one": [[1], [2], [-1], [2]],
+        "entry_past_n": [[1], [2], [4], [2]],
+        # accepted by a graph, which then failed in its first smooth run
+        "too_few_rows": [[1], [2]],
+        "one_dimensional": [1, 2, 1, 2],
+        "no_neighbors": np.empty((4, 0), dtype=np.int64),
+        "ragged": [[1], [2, 3], [1], [2]],
+        "fractional": [[1.5], [2.0], [1.0], [2.0]],
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_LISTS))
+    @pytest.mark.parametrize("entry", ["graph", "auto_sigma_x", "gaussian_weights"])
+    def test_every_entry_point_rejects_every_defect(self, entry, case):
+        nbrs = self.BAD_LISTS[case]
+        D = dist_from_points([0.0, 1.0, 2.0, 3.0])
+        # path 0 - 1 - 2 - 3 plus the edge (1, 3)
+        A = np.zeros((4, 4))
+        for i, j in ((0, 1), (1, 2), (2, 3), (1, 3)):
+            A[i, j] = A[j, i] = 0.5
+        with pytest.raises(ParameterError):
+            if entry == "graph":
+                Graph(sp.csr_array(A), neighborhoods=nbrs)
+            elif entry == "auto_sigma_x":
+                auto_sigma_x(D, nbrs)
+            else:
+                gaussian_weights(D, 1.0, nbrs)
 
 
 class TestEdgePosition:
