@@ -23,7 +23,6 @@ from .diffusivity import (
     local_match_weights,
     plain_weights,
     smooth_weights,
-    symmetrize,
     variant_weights,
 )
 from .evaluation import (

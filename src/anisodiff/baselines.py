@@ -21,10 +21,9 @@ from .graph import Graph
 
 @dataclass
 class HarmonicSolution:
-    """n x c values: labeled rows passed through, unlabeled rows harmonic."""
+    """n x c values: the state's labeled rows passed through, the rest harmonic."""
 
     f: np.ndarray
-    labeled_mask: np.ndarray
 
 
 def grf_harmonic(graph: Graph, state: LabelState) -> HarmonicSolution:
@@ -36,7 +35,7 @@ def grf_harmonic(graph: Graph, state: LabelState) -> HarmonicSolution:
             f"label state shape {f.shape} does not match graph n={graph.n}"
         )
     if mask.all():
-        return HarmonicSolution(f.copy(), mask.copy())
+        return HarmonicSolution(f.copy())
 
     # the lowest-id component with no labeled node makes the system singular
     comp = graph.components
@@ -53,4 +52,4 @@ def grf_harmonic(graph: Graph, state: LabelState) -> HarmonicSolution:
 
     out = f.copy()
     out[u] = fu
-    return HarmonicSolution(out, mask.copy())
+    return HarmonicSolution(out)

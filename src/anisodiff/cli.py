@@ -17,6 +17,7 @@ from . import data as datamod
 from . import evaluation
 from .baselines import grf_harmonic
 from .diffusion import (
+    MODES,
     DiffusionConfig,
     decode_labels,
     init_labels,
@@ -74,14 +75,16 @@ def _add_data_flags(p):
 
 
 def _add_config_flags(p):
-    p.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="plain")
-    p.add_argument("--mode", choices=["linear", "nonlinear"], default="nonlinear")
-    p.add_argument("--K", type=int, default=10)
-    p.add_argument("--sigma-f", dest="sigma_f", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--T", type=int, default=100)
-    p.add_argument("--warm-start", dest="warm_start", type=int, default=20)
-    p.add_argument("--clamp-labels", dest="clamp_labels", action="store_true")
+    c = DiffusionConfig
+    variant = {v: k for k, v in VARIANT_FLAGS.items()}[c.variant]
+    p.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default=variant)
+    p.add_argument("--mode", choices=MODES, default=c.mode)
+    p.add_argument("--K", type=int, default=c.K)
+    p.add_argument("--sigma-f", type=float, default=c.sigma_f)
+    p.add_argument("--delta", type=float, default=c.delta)
+    p.add_argument("--T", type=int, default=c.T)
+    p.add_argument("--warm-start", type=int, default=c.warm_start_steps)
+    p.add_argument("--clamp-labels", action="store_true")
     p.add_argument("--config", help="key=value file; explicit flags win")
 
 
@@ -116,7 +119,6 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True, help="'index class' lines, labeled subset")
     p.add_argument("--truth", help="full ground-truth labels for scoring")
     _add_config_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="unused; accepted for symmetry")
     p.add_argument("--trace", help="write the energy trace CSV here")
     p.add_argument("--out", required=True, help="predictions file")
     p.set_defaults(func=cmd_propagate, **(config or {}))
@@ -135,13 +137,12 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p.add_argument("--methods", required=True, help="comma list, e.g. I,A_S,GRF")
     p.add_argument("--seeds", default="0", help="comma list of split seeds")
     p.add_argument("--train-labels", dest="train_labels", type=int, default=None)
-    p.add_argument("--grid-K", dest="grid_K", default="5,10,20")
-    p.add_argument("--grid-T", dest="grid_T", default="10,50,100,200")
-    p.add_argument(
-        "--grid-sigma-f", dest="grid_sigma_f", default="0.05,0.1,0.2,0.5,1"
-    )
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--warm-start", dest="warm_start", type=int, default=20)
+    grid = evaluation.GridSpec
+    p.add_argument("--grid-K", default=",".join(map(str, grid.K_values)))
+    p.add_argument("--grid-T", default=",".join(map(str, grid.T_values)))
+    p.add_argument("--grid-sigma-f", default=",".join(map(str, grid.sigma_f_values)))
+    p.add_argument("--delta", type=float, default=DiffusionConfig.delta)
+    p.add_argument("--warm-start", type=int, default=DiffusionConfig.warm_start_steps)
     p.add_argument("--out", required=True, help="report prefix (.txt and .kv)")
     p.set_defaults(func=cmd_benchmark)
 

@@ -77,7 +77,6 @@ class SplitSpec:
     train: np.ndarray
     validation: np.ndarray
     test: np.ndarray
-    seed: int
 
 
 def two_moons(n: int, noise_sd: float, seed: int) -> Dataset:
@@ -160,7 +159,7 @@ def split_labels(dataset: Dataset, l: int, seed: int) -> SplitSpec:
     taken[train] = True
     taken[validation] = True
     test = np.nonzero(~taken)[0]
-    return SplitSpec(train, validation, test, seed)
+    return SplitSpec(train, validation, test)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +334,7 @@ def write_labels(labels, path, indices=None):
 def write_graph_triplets(graph: Graph, path):
     """Write edges as lines "i j w" with i < j, 17 significant digits."""
     i, j, _ = graph.undirected_edges
-    w = graph.weights.data[graph.upper]
-    np.savetxt(path, np.column_stack([i, j, w]), fmt="%d %d %.17g")
+    np.savetxt(path, np.column_stack([i, j, graph.edge_weights]), fmt="%d %d %.17g")
 
 
 def write_manifest(entries: dict, path):

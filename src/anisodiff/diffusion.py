@@ -10,6 +10,7 @@ per-row argmax of f^T.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -85,7 +86,9 @@ def init_labels(labels, n: int, c: int) -> LabelState:
     f = np.zeros((n, c))
     mask = np.zeros(n, dtype=bool)
     for idx, cls in labels:
-        idx, cls = int(idx), int(cls)
+        # int() would silently truncate a fractional index or class
+        if not (isinstance(idx, numbers.Integral) and isinstance(cls, numbers.Integral)):
+            raise InputError(f"label ({idx!r}, {cls!r}) must be an integer pair")
         if not 0 <= idx < n:
             raise InputError(f"label index {idx} outside [0, {n})")
         if not 0 <= cls < c:

@@ -24,10 +24,9 @@ VARIANTS = ("isotropic", "plain", "smooth", "local_match")
 
 @dataclass(frozen=True)
 class AnisotropicWeights:
-    """Per-edge anisotropic weights w^D aligned with the graph CSR data."""
+    """Anisotropic weights w^D per stored CSR entry, one value per undirected edge."""
 
     wD: np.ndarray
-    variant: str
 
 
 def _check_f(graph: Graph, f) -> np.ndarray:
@@ -100,13 +99,6 @@ def _check_q(graph: Graph, q) -> np.ndarray:
     return q
 
 
-def symmetrize(graph: Graph, weights: AnisotropicWeights) -> AnisotropicWeights:
-    """Replace w^D_ij and w^D_ji by their arithmetic mean (exactly symmetric)."""
-    wd = np.asarray(weights.wD, dtype=np.float64)
-    sym = 0.5 * (wd + wd[graph.mirror])
-    return AnisotropicWeights(sym, weights.variant)
-
-
 def plain_weights(graph: Graph, q) -> AnisotropicWeights:
     """w^D_ij = w_ij * q_ij, evaluated once per undirected edge.
 
@@ -116,7 +108,7 @@ def plain_weights(graph: Graph, q) -> AnisotropicWeights:
     """
     q = _check_q(graph, q)
     _, _, edge_of = graph.undirected_edges
-    return AnisotropicWeights((graph.edge_weights * q)[edge_of], "plain")
+    return AnisotropicWeights((graph.edge_weights * q)[edge_of])
 
 
 class MutualSums:
@@ -165,7 +157,7 @@ def smooth_weights(
     counts = np.diff(indptr)
     w = graph.edge_weights
     wd = np.where(counts > 0, w * (counts * q + tri) / denom, w * q)
-    return AnisotropicWeights(wd[edge_of], "smooth")
+    return AnisotropicWeights(wd[edge_of])
 
 
 def _min_cross_sqdist(graph: Graph, f) -> np.ndarray:
@@ -185,12 +177,12 @@ def local_match_weights(graph: Graph, q, f, sigma_f: float) -> AnisotropicWeight
     w^D_ij = w_ij q_ij sum_{k in N_K(i)} (1 + q*_ik) / (K + 1) where q*_ik is
     the best unit-weight diffusivity exp(-||f(k) - f(l)||^2 / sigma_f^2) over
     l in N_K(j); the (k, l) pairs need not be graph edges, so no edge-weight
-    factor enters the cross terms.  The directed evaluations (i, j) and
-    (j, i) differ, and the result is their arithmetic mean.  ``sigma_f``
-    is the scale that ``q`` was computed with.
+    factor enters the cross terms.  The directed boosts of (i, j) and (j, i)
+    differ; w^D is the mean of the two, once per undirected edge.
+    ``sigma_f`` is the scale that ``q`` was computed with.
     """
     _check_sigma_f(sigma_f)
-    q = _check_q(graph, q)[graph.undirected_edges[2]]
+    q = _check_q(graph, q)
     f = _check_f(graph, f)
     # raises ParameterError for a graph without kNN neighborhoods
     _, slot_map = graph.match_structure
@@ -198,8 +190,11 @@ def local_match_weights(graph: Graph, q, f, sigma_f: float) -> AnisotropicWeight
     mu = _min_cross_sqdist(graph, f)
     qstar = np.exp(-mu / (sigma_f * sigma_f))
     boost = (K + qstar[slot_map].sum(axis=1)) / (K + 1.0)
-    wd = graph.weights.data * q * boost
-    return symmetrize(graph, AnisotropicWeights(wd, "local_match"))
+    up = graph.upper
+    # both directions share w_ij q_ij: bitwise the mean of the directed w q boost
+    wq = graph.edge_weights * q
+    wd = 0.5 * (wq * boost[up] + wq * boost[graph.mirror[up]])
+    return AnisotropicWeights(wd[graph.undirected_edges[2]])
 
 
 def variant_weights(
@@ -216,7 +211,7 @@ def variant_weights(
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if variant == "isotropic":
-        return AnisotropicWeights(graph.weights.data, "isotropic")
+        return AnisotropicWeights(graph.weights.data)
     if sqnorms is None:
         sqnorms = edge_sqnorms(graph, f)
     q = _field_from_sqnorms(graph, sqnorms, sigma_f)

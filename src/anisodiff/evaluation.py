@@ -8,6 +8,7 @@ it is recomputed from the kNN distances for each K.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -29,29 +30,28 @@ _METHOD_SETTINGS = {
 
 METHODS = tuple(_METHOD_SETTINGS) + ("GRF",)
 
-DEFAULT_K_VALUES = (5, 10, 20)
-DEFAULT_T_VALUES = (10, 50, 100, 200)
-DEFAULT_SIGMA_F_VALUES = (0.05, 0.1, 0.2, 0.5, 1.0)
-
 
 @dataclass(frozen=True)
 class GridSpec:
     """Hyper-parameter grid for one diffusion variant."""
 
-    K_values: tuple = DEFAULT_K_VALUES
-    T_values: tuple = DEFAULT_T_VALUES
-    sigma_f_values: tuple = DEFAULT_SIGMA_F_VALUES
-    variant: str = "plain"
-    mode: str = "nonlinear"
+    K_values: tuple = (5, 10, 20)
+    T_values: tuple = (10, 50, 100, 200)
+    sigma_f_values: tuple = (0.05, 0.1, 0.2, 0.5, 1.0)
+    variant: str = DiffusionConfig.variant
+    mode: str = DiffusionConfig.mode
 
     def __post_init__(self):
-        for name, values in (
-            ("K_values", self.K_values),
-            ("T_values", self.T_values),
-            ("sigma_f_values", self.sigma_f_values),
+        # int() would silently truncate a fractional K or T
+        for name, values, kind in (
+            ("K_values", self.K_values, numbers.Integral),
+            ("T_values", self.T_values, numbers.Integral),
+            ("sigma_f_values", self.sigma_f_values, numbers.Real),
         ):
             if len(values) == 0:
                 raise ParameterError(f"{name} must be nonempty")
+            if not all(isinstance(v, kind) for v in values):
+                raise ParameterError(f"{name} entries must be {kind.__name__} numbers")
             if any(v <= 0 for v in values):
                 raise ParameterError(f"{name} entries must be positive")
 
@@ -84,8 +84,8 @@ def grid_search(
     dataset: Dataset,
     split: SplitSpec,
     *,
-    delta: float = 1.0,
-    warm_start_steps: int = 20,
+    delta: float = DiffusionConfig.delta,
+    warm_start_steps: int = DiffusionConfig.warm_start_steps,
     graph_cache: dict | None = None,
 ):
     """Best cell by validation error; returns (config, validation_error, labels).
@@ -157,8 +157,8 @@ def benchmark(
     grid: GridSpec = GridSpec(),
     *,
     train_labels: int | None = None,
-    delta: float = 1.0,
-    warm_start_steps: int = 20,
+    delta: float = DiffusionConfig.delta,
+    warm_start_steps: int = DiffusionConfig.warm_start_steps,
 ) -> BenchmarkReport:
     """Grid-select on validation and report mean/sd test error per method.
 

@@ -395,14 +395,21 @@ def knn_neighborhoods(dist, K: int) -> np.ndarray:
     return out
 
 
+def _distances_and_lists(dist, neighborhoods):
+    """D, checked to be (n, n) by shape alone, and the kNN lists checked for n."""
+    D = np.asarray(dist, dtype=np.float64)
+    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+        raise ParameterError(f"distance matrix must be square, got shape {D.shape}")
+    return D, validate_neighborhoods(neighborhoods, len(D))
+
+
 def auto_sigma_x(dist, neighborhoods) -> float:
     """Squared mean distance of every point to its kNN list.
 
     The Gaussian weight divides the squared distance by this scale, so the
     exponent is O(1) at typical neighbor range.
     """
-    D = np.asarray(dist, dtype=np.float64)
-    nbrs = validate_neighborhoods(neighborhoods, len(D))
+    D, nbrs = _distances_and_lists(dist, neighborhoods)
     mean = float(np.take_along_axis(D, nbrs, axis=1).mean())
     if mean == 0.0:
         raise DegenerateDataError("all neighbor distances are zero")
@@ -417,8 +424,7 @@ def gaussian_weights(dist, sigma_x: float, neighborhoods) -> Graph:
     """
     if not sigma_x > 0:
         raise ParameterError(f"sigma_x must be positive, got {sigma_x}")
-    D = np.asarray(dist, dtype=np.float64)
-    nbrs = validate_neighborhoods(neighborhoods, len(D))
+    D, nbrs = _distances_and_lists(dist, neighborhoods)
     n, K = nbrs.shape
     r = np.repeat(np.arange(n, dtype=np.int64), K)
     c = nbrs.ravel()
@@ -436,11 +442,9 @@ def gaussian_weights(dist, sigma_x: float, neighborhoods) -> Graph:
     return Graph(W, neighborhoods=nbrs)
 
 
-def build_knn_graph(dist, K: int, sigma_x: float | None = None) -> Graph:
-    """Convenience: kNN lists, auto sigma_x unless given, Gaussian weights."""
+def build_knn_graph(dist, K: int) -> Graph:
+    """Gaussian weights at :func:`auto_sigma_x` on the kNN lists of ``dist``."""
     # knn_neighborhoods validates D; a second pass would only repeat its scans
     D = np.ascontiguousarray(dist, dtype=np.float64)
     nbrs = knn_neighborhoods(D, K)
-    if sigma_x is None:
-        sigma_x = auto_sigma_x(D, nbrs)
-    return gaussian_weights(D, sigma_x, nbrs)
+    return gaussian_weights(D, auto_sigma_x(D, nbrs), nbrs)

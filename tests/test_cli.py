@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from anisodiff.cli import main
+from anisodiff import evaluation
+from anisodiff.cli import _config_from_args, build_parser, main
+from anisodiff.diffusion import DiffusionConfig
 from anisodiff.data import (
     read_label_pairs,
     read_manifest,
@@ -315,3 +317,40 @@ class TestBenchmark:
             )
         assert exc.value.code == 2
         assert "A_LM" in capsys.readouterr().err  # lists the valid methods
+
+
+class TestDefaults:
+    """Every flag default is read from DiffusionConfig or GridSpec."""
+
+    def test_propagate_defaults_are_the_config_defaults(self):
+        parser = build_parser()
+        args = parser.parse_args(
+            ["propagate", "--features", "x", "--labels", "y", "--out", "z"]
+        )
+        assert _config_from_args(parser, args) == DiffusionConfig()
+
+    def test_benchmark_defaults_are_the_grid_and_config_defaults(
+        self, tmp_path, monkeypatch
+    ):
+        data = synth_moons(tmp_path)
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def record(dataset, methods, seeds, grid, **kwargs):
+            seen.update(kwargs, grid=grid)
+            raise Stop
+
+        monkeypatch.setattr(evaluation, "benchmark", record)
+        with pytest.raises(Stop):
+            run_cli(["benchmark", "--features", data / "features.txt",
+                     "--labels", data / "labels.txt", "--methods", "I",
+                     "--out", tmp_path / "r"])
+        defaults = DiffusionConfig()
+        assert seen == {
+            "grid": evaluation.GridSpec(),
+            "train_labels": None,
+            "delta": defaults.delta,
+            "warm_start_steps": defaults.warm_start_steps,
+        }

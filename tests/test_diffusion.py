@@ -63,6 +63,14 @@ class TestInitLabels:
         with pytest.raises(InputError):
             init_labels([(3, 0)], 3, 2)
 
+    def test_fractional_index_or_class_rejected(self):
+        # int() would have labeled node 1 for the index 1.5
+        for pair in ((1.5, 0), (1, 0.0), (np.float64(1.0), 1)):
+            with pytest.raises(InputError, match="integer"):
+                init_labels([pair], 3, 2)
+        state = init_labels([(np.int64(1), np.int32(1))], 3, 2)
+        assert state.f[1].tolist() == [0.0, 1.0]
+
 
 class TestEulerStep:
     def test_constant_fixed_point(self):

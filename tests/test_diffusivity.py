@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,17 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisodiff.diffusivity import (
-    AnisotropicWeights,
     MutualSums,
     gaussian_diffusivity,
     local_match_weights,
     plain_weights,
     smooth_weights,
-    symmetrize,
     variant_weights,
     _min_cross_sqdist,
 )
 from anisodiff.errors import ParameterError, ShapeError
+from anisodiff.graph import build_knn_graph, pairwise_distances
+from anisodiff.laplacian import regularizer_energy
 
 from conftest import triangle_graph
 from oracles import (
@@ -84,9 +85,10 @@ class TestGaussianDiffusivity:
 def test_isotropic_variant_is_the_graph_weights():
     rng = np.random.default_rng(11)
     _, g = random_knn_graph(rng, 25, 3)
-    wd = variant_weights(g, rng.normal(size=(25, 2)), 0.3, "isotropic")
+    f = rng.normal(size=(25, 2))
+    wd = variant_weights(g, f, 0.3, "isotropic")
     assert np.array_equal(wd.wD, g.weights.data)
-    assert wd.variant == "isotropic"
+    assert regularizer_energy(g, wd, f) == regularizer_energy(g, None, f)
 
 
 class TestPlainWeights:
@@ -293,16 +295,21 @@ class TestLocalMatchWeights:
     def test_deduplicated_kernel_matches_blocked_reference(self):
         rng = np.random.default_rng(18)
         _, g = random_knn_graph(rng, 35, 5)
-        K = 5
-        pairs, slot_map = g.match_structure
-        pair_k, pair_j = np.divmod(pairs, g.n)
+        graphs = [(g, 5)]
+        for K in (1, 3, 10):
+            graphs.append((random_knn_graph(np.random.default_rng(K), 35, K)[1], K))
+        # duplicate points: zero distances and tied kNN lists
+        X = np.repeat(np.random.default_rng(4).normal(size=(12, 2)), 3, axis=0)[:35]
+        graphs.append((build_knn_graph(pairwise_distances(X), 4), 4))
         fs = [
             rng.normal(size=(35, 1)),
             rng.normal(size=(35, 3)),
             # few distinct rows: tied minima and zero cross distances
             rng.integers(0, 2, size=(35, 3)).astype(float),
         ]
-        for f in fs:
+        for (g, K), f in itertools.product(graphs, fs):
+            pairs, slot_map = g.match_structure
+            pair_k, pair_j = np.divmod(pairs, g.n)
             f = np.ascontiguousarray(f)
             mu = min_cross_sqdist_blocked(pair_k, pair_j, g.neighborhoods, f)
             assert np.array_equal(_min_cross_sqdist(g, f), mu)
@@ -340,29 +347,6 @@ class TestLocalMatchWeights:
         q = gaussian_diffusivity(triangle, f, 1.0)
         with pytest.raises(ParameterError):
             local_match_weights(triangle, q, f, 0.0)
-
-
-class TestSymmetrize:
-    def test_averages_pair(self, triangle):
-        wd = np.array(triangle.weights.data)
-        p = triangle.edge_position(0, 1)
-        p_rev = triangle.edge_position(1, 0)
-        wd[p], wd[p_rev] = 0.2, 0.4
-        sym = symmetrize(triangle, AnisotropicWeights(wd, "plain"))
-        assert sym.wD[p] == sym.wD[p_rev]  # exact pairwise equality
-        assert sym.wD[p] == pytest.approx(0.3, rel=1e-15)
-
-    def test_already_symmetric_unchanged(self, triangle):
-        wd = AnisotropicWeights(np.array(triangle.weights.data), "plain")
-        sym = symmetrize(triangle, wd)
-        assert np.array_equal(sym.wD, wd.wD)
-
-    def test_random_field_zero_asymmetry(self):
-        rng = np.random.default_rng(21)
-        _, g = random_knn_graph(rng, 30, 4)
-        raw = rng.uniform(0.1, 1.0, g.weights.nnz)
-        sym = symmetrize(g, AnisotropicWeights(raw, "plain"))
-        assert np.abs(sym.wD[g.mirror] - sym.wD).max() == 0.0
 
 
 @settings(max_examples=15, deadline=None)

@@ -145,6 +145,14 @@ class TestGridSpecValidation:
         with pytest.raises(ParameterError):
             GridSpec(sigma_f_values=(0.0,))
 
+    def test_fractional_K_or_T_rejected(self):
+        # int() in the search would have run K=5, T=10 without a word
+        for kwargs in ({"K_values": (5.7,)}, {"T_values": (10, 10.9)}):
+            with pytest.raises(ParameterError, match="Integral"):
+                GridSpec(**kwargs)
+        grid = GridSpec(K_values=(np.int64(5),), T_values=(np.int32(10),))
+        assert grid.K_values == (5,)
+
 
 class TestBenchmark:
     @pytest.fixture(scope="class")

@@ -432,6 +432,18 @@ class TestNeighborhoodValidation:
             else:
                 gaussian_weights(D, 1.0, nbrs)
 
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 4), (4,)])
+    @pytest.mark.parametrize("entry", ["auto_sigma_x", "gaussian_weights"])
+    def test_distances_must_be_n_by_n_for_the_lists(self, entry, shape):
+        # valid lists for n = 4; a 4 x 2 D used to fail with a bare IndexError
+        nbrs = [[3], [2], [1], [0]]
+        D = np.ones(shape)
+        with pytest.raises(ParameterError, match="square"):
+            if entry == "auto_sigma_x":
+                auto_sigma_x(D, nbrs)
+            else:
+                gaussian_weights(D, 1.0, nbrs)
+
 
 class TestEdgePosition:
     def test_quarter_edge_weight(self):

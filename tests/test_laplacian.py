@@ -53,7 +53,7 @@ class TestApplyAnisotropic:
     def test_identity_diffusivity_equals_isotropic(self):
         rng = np.random.default_rng(32)
         _, g = random_knn_graph(rng, 30, 4)
-        wd = AnisotropicWeights(np.array(g.weights.data), "plain")
+        wd = AnisotropicWeights(np.array(g.weights.data))
         f = rng.normal(size=(30, 2))
         assert np.array_equal(LaplacianOperator(g, wd)(f), LaplacianOperator(g)(f))
 
@@ -81,7 +81,7 @@ class TestRegularizerEnergy:
 
         W = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
         g = Graph(W)
-        wd = AnisotropicWeights(np.array([2.0, 2.0]), "plain")
+        wd = AnisotropicWeights(np.array([2.0, 2.0]))
         f = np.array([[0.0], [3.0]])
         assert regularizer_energy(g, wd, f) == pytest.approx(18.0, abs=0)
 
