@@ -24,6 +24,13 @@ from .laplacian import LaplacianOperator
 MODES = ("linear", "nonlinear")
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    """Raise ParameterError unless ``value`` is an integer >= ``low``."""
+    # int() would silently truncate a fractional value
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass
 class LabelState:
     """One-hot label matrix f (n x c) plus the labeled-row mask."""
@@ -51,16 +58,13 @@ class DiffusionConfig:
     clamp_labels: bool = False
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ParameterError(f"K must be >= 1, got {self.K}")
-        if self.T < 0:
-            raise ParameterError(f"T must be >= 0, got {self.T}")
+        _check_integer("K", self.K, 1)
+        _check_integer("T", self.T, 0)
+        _check_integer("warm_start_steps", self.warm_start_steps, 0)
         if not self.sigma_f > 0:
             raise ParameterError(f"sigma_f must be positive, got {self.sigma_f}")
         if not self.delta > 0:
             raise ParameterError(f"delta must be positive, got {self.delta}")
-        if self.warm_start_steps < 0:
-            raise ParameterError("warm_start_steps must be >= 0")
         if self.variant not in VARIANTS:
             raise ParameterError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.mode not in MODES:
@@ -102,8 +106,7 @@ def init_labels(labels, n: int, c: int) -> LabelState:
 
 def warm_start(graph: Graph, f0, steps: int, delta: float) -> np.ndarray:
     """Run `steps` isotropic Euler steps to smooth the initial distribution."""
-    if steps < 0:
-        raise ParameterError("steps must be >= 0")
+    _check_integer("steps", steps, 0)
     if not delta > 0:
         raise ParameterError(f"delta must be positive, got {delta}")
     f = np.array(f0, dtype=np.float64)
@@ -197,7 +200,9 @@ def snapshots_at(
     already passed are returned and later ones are missing.  No energy is
     computed.
     """
-    wanted = set(int(t) for t in steps)
+    wanted = set(steps)
+    for t in wanted:
+        _check_integer("snapshot step", t, 0)
     if wanted and max(wanted) != config.T:
         config = replace(config, T=max(wanted))
     out: dict[int, np.ndarray] = {}

@@ -67,32 +67,24 @@ def _field_from_sqnorms(graph: Graph, g2, sigma_f: float) -> np.ndarray:
 
 
 def gaussian_diffusivity(graph: Graph, f, sigma_f: float) -> np.ndarray:
-    """q_ij = exp(-|grad_i f(e_ij)|^2 / sigma_f^2) per stored edge.
+    """q_ij = exp(-|grad_i f(e_ij)|^2 / sigma_f^2) per undirected edge.
 
     The squared edge gradient is w_ij * ||f(j) - f(i)||^2 with the Euclidean
     norm taken across the c output channels.  Values are floored at the
     smallest positive normal float so the field stays strictly positive.
-    Returns one value per stored entry, exactly symmetric.
+    Returns one value per undirected edge in the order of
+    :attr:`Graph.upper`, the layout every weight field takes;
+    ``q[graph.undirected_edges[2]]`` lays it out per stored entry.
     """
-    _, _, edge_of = graph.undirected_edges
-    return _field_from_sqnorms(graph, edge_sqnorms(graph, f), sigma_f)[edge_of]
+    return _field_from_sqnorms(graph, edge_sqnorms(graph, f), sigma_f)
 
 
 def _check_q(graph: Graph, q) -> np.ndarray:
-    """q per undirected edge, in the order of :attr:`Graph.upper`, all > 0.
-
-    A q with one value per stored entry is read at the upper entries only,
-    so it must be exactly symmetric, as :func:`gaussian_diffusivity` gives.
-    """
+    """q per undirected edge, in the order of :attr:`Graph.upper`, all > 0."""
     q = np.asarray(q, dtype=np.float64)
-    up = graph.upper
-    if q.shape == (graph.weights.nnz,):
-        q = q[up]
-    elif q.shape != up.shape:
-        raise ShapeError(
-            f"diffusivity has {q.shape} entries, graph stores {graph.weights.nnz} "
-            f"entries over {len(up)} edges"
-        )
+    E = len(graph.upper)
+    if q.shape != (E,):
+        raise ShapeError(f"diffusivity has shape {q.shape}, graph has {E} edges")
     # not > 0 also catches NaN
     if not (q > 0).all():
         raise ParameterError("diffusivity must be positive on every edge")
@@ -102,9 +94,8 @@ def _check_q(graph: Graph, q) -> np.ndarray:
 def plain_weights(graph: Graph, q) -> AnisotropicWeights:
     """w^D_ij = w_ij * q_ij, evaluated once per undirected edge.
 
-    ``q`` holds one value per undirected edge or per stored entry, as for
-    every weight field here; of the latter only the :attr:`Graph.upper`
-    entries are read, so it must be exactly symmetric.
+    ``q`` holds one value per undirected edge in the order of
+    :attr:`Graph.upper`, as for every weight field here.
     """
     q = _check_q(graph, q)
     _, _, edge_of = graph.undirected_edges
@@ -142,10 +133,10 @@ def smooth_weights(
     w^D_ij = sum_{k in N_K(i) & N_K(j)} w_ij (q_ij + q_ik q_kj) / (s_i + s_j)
     with s_i = sum_{k in N_K(i)} q_ik.  Edges with an empty mutual
     neighborhood fall back to the plain product w_ij q_ij, preserving strict
-    positivity.  For an exactly symmetric q, as :func:`gaussian_diffusivity`
-    gives, the formula is symmetric in i and j term by term and in the same
-    order of k, so it is evaluated once per undirected edge.  The sums over
-    k are one :class:`MutualSums` matvec; ``sums`` reuses one across calls.
+    positivity.  With one q per undirected edge the formula is symmetric in
+    i and j term by term and in the same order of k, so it is evaluated once
+    per undirected edge.  The sums over k are one :class:`MutualSums`
+    matvec; ``sums`` reuses one across calls.
     """
     q = _check_q(graph, q)
     i, j, edge_of = graph.undirected_edges

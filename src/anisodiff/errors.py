@@ -13,10 +13,6 @@ class ShapeError(ValueError):
     """Array dimensions do not match the graph or each other."""
 
 
-class NonEdgeError(LookupError):
-    """A queried node pair is not an edge of the graph."""
-
-
 class InputError(ValueError):
     """A file or label list failed to parse or violates its format contract."""
 

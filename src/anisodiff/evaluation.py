@@ -16,7 +16,9 @@ import numpy as np
 
 from .baselines import grf_harmonic
 from .data import Dataset, SplitSpec, split_labels
-from .diffusion import DiffusionConfig, decode_labels, init_labels, snapshots_at
+from .diffusion import (
+    DiffusionConfig, _check_integer, decode_labels, init_labels, snapshots_at
+)
 from .errors import DivergenceError, InputError, ParameterError, UnlabeledComponentError
 from .graph import build_knn_graph
 
@@ -64,19 +66,14 @@ def error_rate(predicted, truth, eval_indices) -> float:
         raise InputError(
             f"prediction shape {predicted.shape} != truth shape {truth.shape}"
         )
-    idx = np.asarray(eval_indices, dtype=np.int64)
+    idx = np.asarray(eval_indices)
     if idx.size == 0:
         raise InputError("evaluation index set is empty")
+    # a cast would truncate a fractional index; a negative one counts from the end
+    n = len(truth)
+    if not np.issubdtype(idx.dtype, np.integer) or idx.min() < 0 or idx.max() >= n:
+        raise InputError(f"evaluation indices must be integers in [0, {n})")
     return 100.0 * float(np.count_nonzero(predicted[idx] != truth[idx])) / idx.size
-
-
-def _graph_for(dataset: Dataset, K: int, cache: dict | None):
-    if cache is not None and K in cache:
-        return cache[K]
-    graph = build_knn_graph(dataset.distance_matrix, K)
-    if cache is not None:
-        cache[K] = graph
-    return graph
 
 
 def grid_search(
@@ -104,11 +101,14 @@ def grid_search(
     # the isotropic variant ignores sigma_f; evaluate a single column
     sigmas = grid.sigma_f_values[:1] if grid.variant == "isotropic" else grid.sigma_f_values
     state = init_labels(zip(split.train, y[split.train]), dataset.n, dataset.c)
-    for K in grid.K_values:
-        graph = _graph_for(dataset, int(K), graph_cache)
+    graphs = {} if graph_cache is None else graph_cache
+    for K in map(int, grid.K_values):
+        if K not in graphs:
+            graphs[K] = build_knn_graph(dataset.distance_matrix, K)
+        graph = graphs[K]
         for sigma_f in sigmas:
             config = DiffusionConfig(
-                K=int(K),
+                K=K,
                 T=max(T_values),
                 sigma_f=float(sigma_f),
                 delta=delta,
@@ -123,7 +123,7 @@ def grid_search(
                     err = error_rate(labels, y, split.validation)
                 else:  # diverged before reaching T
                     labels, err = None, 100.0
-                key = (err, T, int(K), float(sigma_f))
+                key = (err, T, K, float(sigma_f))
                 if best is None or key < best[0]:
                     best = (key, replace(config, T=T), labels)
     (err, *_), config, labels = best
@@ -175,14 +175,17 @@ def benchmark(
     for m in methods:
         if m not in METHODS:
             raise ParameterError(f"unknown method {m!r}; valid: {', '.join(METHODS)}")
-    seeds = [int(s) for s in seeds]
+    seeds = list(seeds)
     if not seeds:
         raise ParameterError("seeds must name at least one seed")
-    l = 2 * dataset.c if train_labels is None else int(train_labels)
+    for s in seeds:
+        _check_integer("seed", s, 0)
+    l = 2 * dataset.c if train_labels is None else train_labels
+    _check_integer("train_labels", l, 1)
     y = dataset.labels
-    cache: dict = {}
-    for K in grid.K_values:
-        _graph_for(dataset, int(K), cache)
+    graphs = {
+        K: build_knn_graph(dataset.distance_matrix, K) for K in set(map(int, grid.K_values))
+    }
     rows = []
     for method in methods:
         errors, selected, seconds = [], [], []
@@ -198,7 +201,7 @@ def benchmark(
                 scores = []
                 for K in grid.K_values:
                     try:
-                        labels = decode_labels(grf_harmonic(cache[int(K)], state).f)
+                        labels = decode_labels(grf_harmonic(graphs[int(K)], state).f)
                         err = error_rate(labels, y, split.validation)
                     except UnlabeledComponentError:
                         labels, err = None, 100.0
@@ -213,7 +216,7 @@ def benchmark(
                     split,
                     delta=delta,
                     warm_start_steps=warm_start_steps,
-                    graph_cache=cache,
+                    graph_cache=graphs,
                 )
                 if labels is None:
                     raise DivergenceError(f"diffusion diverged at delta={delta}")
@@ -235,7 +238,7 @@ def benchmark(
                 mean_seconds=float(np.mean(seconds)),
             )
         )
-    return BenchmarkReport(dataset.name, tuple(seeds), l, tuple(rows))
+    return BenchmarkReport(dataset.name, tuple(map(int, seeds)), int(l), tuple(rows))
 
 
 # ---------------------------------------------------------------------------

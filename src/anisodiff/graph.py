@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
-from .errors import DegenerateDataError, NonEdgeError, ParameterError
+from .errors import DegenerateDataError, ParameterError
 
 # Smallest positive normal float; weights and diffusivities are floored here
 # so they stay strictly positive even when the Gaussian underflows.
@@ -342,17 +342,6 @@ class Graph:
         cross_map = np.empty_like(rank)
         cross_map[order] = rank
         return uniq // self.n, uniq % self.n, cross_map.reshape(-1, len(pairs))
-
-    def edge_position(self, i, j) -> int:
-        """CSR position of edge (i, j); raises NonEdgeError if absent."""
-        if 0 <= i < self.n and 0 <= j < self.n:
-            pos, found = self._positions(i, j)
-            if found:
-                return int(pos)
-        raise NonEdgeError((i, j))
-
-    def edge_weight(self, i, j) -> float:
-        return float(self.weights.data[self.edge_position(i, j)])
 
 
 def knn_neighborhoods(dist, K: int) -> np.ndarray:

@@ -16,8 +16,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from .diffusivity import AnisotropicWeights, _check_f, edge_sqnorms
-from .errors import DivergenceError, ShapeError
+from .errors import DivergenceError, ParameterError, ShapeError
 from .graph import Graph
+
+
+def _field_data(graph: Graph, weights: AnisotropicWeights | None) -> np.ndarray:
+    """wD per stored entry, the graph weights for None; checked for length."""
+    if weights is None:
+        return graph.weights.data
+    wd = np.ascontiguousarray(weights.wD, dtype=np.float64)
+    if wd.shape != (graph.weights.nnz,):
+        raise ShapeError("anisotropic weights not aligned with graph")
+    return wd
 
 
 class LaplacianOperator:
@@ -38,14 +48,7 @@ class LaplacianOperator:
         The new array replaces the operator's data reference; nothing is
         written into the graph's arrays, so operators may share one graph.
         """
-        wd = (
-            self.graph.weights.data
-            if weights is None
-            else np.ascontiguousarray(weights.wD, dtype=np.float64)
-        )
-        if wd.shape != (self._WD.nnz,):
-            raise ShapeError("anisotropic weights not aligned with graph")
-        self._WD.data = wd
+        self._WD.data = _field_data(self.graph, weights)
         self._rowsum = self._WD @ np.ones(self.graph.n)
 
     def __call__(self, f) -> np.ndarray:
@@ -60,6 +63,8 @@ class LaplacianOperator:
 
         A 1-D f of length n is taken as (n, 1), as :meth:`__call__` takes it.
         """
+        if not delta > 0:
+            raise ParameterError(f"delta must be positive, got {delta}")
         with np.errstate(over="ignore", invalid="ignore"):
             Lf = self(f)
             out = f.reshape(Lf.shape) - delta * Lf
@@ -76,5 +81,5 @@ def regularizer_energy(
     Nonnegative, and zero exactly when f is constant per connected component.
     ``weights=None`` evaluates the isotropic energy (wD = w).
     """
-    wd = graph.weights.data if weights is None else np.asarray(weights.wD)
+    wd = _field_data(graph, weights)
     return float(wd[graph.upper] @ edge_sqnorms(graph, f))

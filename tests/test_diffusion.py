@@ -146,6 +146,11 @@ class TestWarmStart:
         with pytest.raises(ParameterError, match="delta must be positive"):
             warm_start(g, np.zeros((2, 1)), steps, delta)
 
+    @pytest.mark.parametrize("steps", [2.5, -1])
+    def test_rejects_bad_steps(self, steps):
+        with pytest.raises(ParameterError, match="steps must be an integer"):
+            warm_start(two_node_graph(), np.zeros((2, 1)), steps, 1.0)
+
     @pytest.mark.parametrize("steps", [1, 5])
     def test_one_dimensional_f_is_one_column(self, steps):
         rng = np.random.default_rng(47)
@@ -325,6 +330,17 @@ class TestSnapshots:
         snaps = snapshots_at(cfg, g, state, [1, 400])
         assert 1 in snaps and 400 not in snaps
 
+    @pytest.mark.parametrize("steps", [[2.7], [1, 2.0], [-1]])
+    def test_steps_must_be_nonnegative_integers(self, steps):
+        # int() would read step 2.7 as step 2
+        g = two_node_graph()
+        state = init_labels([(0, 0)], 2, 2)
+        cfg = DiffusionConfig(K=1, T=3, variant="isotropic")
+        with pytest.raises(ParameterError, match="snapshot step"):
+            snapshots_at(cfg, g, state, steps)
+        snaps = snapshots_at(cfg, g, state, np.array([1, 3]))
+        assert sorted(snaps) == [1, 3]
+
 
 class TestFusedLoopMatchesRebuild:
     """One operator per trajectory and energies only where read change no bit."""
@@ -472,6 +488,10 @@ class TestConfigValidation:
             dict(sigma_f=0.0),
             dict(delta=-0.5),
             dict(warm_start_steps=-1),
+            # a fractional count would be truncated, or fail only inside the loop
+            dict(K=2.5),
+            dict(T=np.float64(3.0)),
+            dict(warm_start_steps=2.5),
             dict(variant="bogus"),
             dict(mode="bogus"),
         ],
@@ -479,6 +499,10 @@ class TestConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ParameterError):
             DiffusionConfig(**kwargs)
+
+    def test_numpy_integers_pass(self):
+        config = DiffusionConfig(K=np.int64(3), T=np.int32(5), warm_start_steps=np.int64(0))
+        assert (config.K, config.T, config.warm_start_steps) == (3, 5, 0)
 
 
 @settings(max_examples=10, deadline=None)

@@ -32,17 +32,22 @@ from oracles import (
 
 
 def dense_field(graph, values):
-    """Scatter per-edge values into a dense matrix for oracle comparison."""
+    """Scatter per-stored-entry values into a dense matrix for oracle comparison."""
     out = np.zeros((graph.n, graph.n))
     out[graph.rows, graph.weights.indices] = values
     return out
+
+
+def per_entry(graph, q):
+    """A per-edge q laid out over both stored directions of every edge."""
+    return q[graph.undirected_edges[2]]
 
 
 class TestGaussianDiffusivity:
     def test_equal_values_give_one(self, triangle):
         f = np.tile([1.5, -2.0], (3, 1))
         q = gaussian_diffusivity(triangle, f, 0.3)
-        assert np.array_equal(q, np.ones(triangle.weights.nnz))
+        assert np.array_equal(q, np.ones(len(triangle.upper)))
 
     def test_unit_weight_norm_equal_sigma(self):
         D = np.zeros((2, 2))  # w = 1 edge
@@ -52,7 +57,7 @@ class TestGaussianDiffusivity:
         sigma_f = 0.7
         f = np.array([[0.0], [sigma_f]])  # ||f(j)-f(i)||^2 = sigma_f^2
         q = gaussian_diffusivity(g, f, sigma_f)
-        assert q == pytest.approx([math.exp(-1)] * 2, rel=1e-15)
+        assert q == pytest.approx([math.exp(-1)], rel=1e-15)
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(10)
@@ -60,7 +65,7 @@ class TestGaussianDiffusivity:
         f = rng.normal(size=(30, 3))
         q = gaussian_diffusivity(g, f, 0.5)
         Q = gaussian_diffusivity_bruteforce(g.weights.toarray(), f, 0.5)
-        assert np.abs(dense_field(g, q) - Q).max() < 1e-12
+        assert np.abs(dense_field(g, per_entry(g, q)) - Q).max() < 1e-12
 
     def test_bounds_and_exact_symmetry(self):
         rng = np.random.default_rng(11)
@@ -68,7 +73,9 @@ class TestGaussianDiffusivity:
         for scale in (1e-3, 1.0, 1e3):
             f = scale * rng.normal(size=(60, 2))
             q = gaussian_diffusivity(g, f, 0.05)
+            assert q.shape == g.upper.shape
             assert (q > 0).all() and (q <= 1).all()
+            q = per_entry(g, q)
             assert np.array_equal(q[g.mirror], q)
 
     def test_rejects_bad_sigma(self, triangle):
@@ -104,6 +111,7 @@ class TestPlainWeights:
         f = rng.normal(size=(25, 2))
         q = gaussian_diffusivity(g, f, 0.4)
         wd = plain_weights(g, q)
+        q = per_entry(g, q)
         for p in range(g.weights.nnz):
             assert wd.wD[p] == g.weights.data[p] * q[p]
 
@@ -131,7 +139,7 @@ class TestSmoothWeights:
         wd = smooth_weights(g, q)
         # counts are per undirected edge, in the order of g.upper
         counts = np.diff(g.mutual_structure[1])
-        plain = g.weights.data * q
+        plain = g.weights.data * per_entry(g, q)
         empty = g.upper[counts == 0]
         assert empty.size
         assert np.array_equal(wd.wD[empty], plain[empty])
@@ -144,7 +152,7 @@ class TestSmoothWeights:
         q = gaussian_diffusivity(g, f, 0.3)
         wd = smooth_weights(g, q)
         oracle = smooth_weights_bruteforce(
-            g.weights.toarray(), dense_field(g, q), g.neighborhoods
+            g.weights.toarray(), dense_field(g, per_entry(g, q)), g.neighborhoods
         )
         assert np.abs(dense_field(g, wd.wD) - oracle).max() < 1e-12
 
@@ -155,7 +163,7 @@ class TestSmoothWeights:
             _, g = random_knn_graph(rng, n, K)
             for c, sigma_f in ((1, 0.05), (2, 0.3), (3, 2.0)):
                 q = gaussian_diffusivity(g, rng.normal(size=(n, c)), sigma_f)
-                expected = smooth_weights_directed(g, q)
+                expected = smooth_weights_directed(g, per_entry(g, q))
                 assert np.array_equal(smooth_weights(g, q).wD, expected)
 
     def test_bitwise_equal_to_directed_mean_duplicate_heavy(self):
@@ -167,7 +175,7 @@ class TestSmoothWeights:
         # few distinct rows give many exactly equal diffusivities
         for f in (rng.normal(size=(300, 2)), rng.integers(0, 2, size=(300, 2)).astype(float)):
             q = gaussian_diffusivity(g, f, 0.2)
-            expected = smooth_weights_directed(g, q)
+            expected = smooth_weights_directed(g, per_entry(g, q))
             assert np.array_equal(smooth_weights(g, q).wD, expected)
 
     def test_reused_sums_give_the_same_field(self):
@@ -188,14 +196,19 @@ class TestSmoothWeights:
 
 
 @pytest.mark.parametrize("weights", [plain_weights, smooth_weights, local_match_weights])
-def test_q_per_edge_or_per_stored_entry_only(weights):
+def test_q_per_edge_only(weights):
     rng = np.random.default_rng(17)
     _, g = random_knn_graph(rng, 30, 4)
     f = rng.normal(size=(30, 2))
     q = gaussian_diffusivity(g, f, 0.5)
     args = (f, 0.5) if weights is local_match_weights else ()
-    assert np.array_equal(weights(g, q[g.upper], *args).wD, weights(g, q, *args).wD)
-    for bad in (q[:-1], np.append(q, 1.0), q[g.upper][1:]):
+    assert weights(g, q, *args).wD.shape == (g.weights.nnz,)
+    # a per-stored-entry q is refused, symmetric or not: a field that read
+    # only its upper entries would ignore whatever the mirror entries hold
+    entry = per_entry(g, q)
+    asymmetric = entry.copy()
+    asymmetric[g.mirror[g.upper]] = 0.5
+    for bad in (q[:-1], np.append(q, 1.0), q[:, None], entry, asymmetric):
         with pytest.raises(ShapeError):
             weights(g, bad, *args)
 
@@ -208,14 +221,9 @@ def test_non_positive_diffusivity_raises(weights, bad):
     f = rng.normal(size=(30, 2))
     q = gaussian_diffusivity(g, f, 0.5)
     args = (f, 0.5) if weights is local_match_weights else ()
-    p = g.upper[3]
-    per_entry = q.copy()
-    per_entry[p] = per_entry[g.mirror[p]] = bad
-    per_edge = q[g.upper]
-    per_edge[3] = bad
-    for q_bad in (per_entry, per_edge):
-        with pytest.raises(ParameterError, match="positive"):
-            weights(g, q_bad, *args)
+    q[3] = bad
+    with pytest.raises(ParameterError, match="positive"):
+        weights(g, q, *args)
 
 
 class TestMutualSums:
@@ -231,9 +239,10 @@ class TestMutualSums:
         assert indptr.dtype == ik.dtype == kj.dtype == np.int32
         assert np.array_equal(np.diff(indptr), counts)
         for q in qs:
-            terms = q[pos_ik] * q[pos_kj]
+            qe = per_entry(g, q)
+            terms = qe[pos_ik] * qe[pos_kj]
             expected = np.bincount(edge, weights=terms, minlength=g.weights.nnz)[g.upper]
-            assert np.array_equal(MutualSums(g)(q[g.upper]), expected)
+            assert np.array_equal(MutualSums(g)(q), expected)
         return counts
 
     @pytest.mark.parametrize("K", [1, 3, 8])
@@ -288,7 +297,7 @@ class TestLocalMatchWeights:
         q = gaussian_diffusivity(g, f, sigma_f)
         wd = local_match_weights(g, q, f, sigma_f)
         oracle = local_match_weights_bruteforce(
-            g.weights.toarray(), dense_field(g, q), g.neighborhoods, f, sigma_f
+            g.weights.toarray(), dense_field(g, per_entry(g, q)), g.neighborhoods, f, sigma_f
         )
         assert np.abs(dense_field(g, wd.wD) - oracle).max() < 1e-12
 
@@ -317,7 +326,7 @@ class TestLocalMatchWeights:
             q = gaussian_diffusivity(g, f, sigma_f)
             qstar = np.exp(-mu / (sigma_f * sigma_f))
             boost = (K + qstar[slot_map].sum(axis=1)) / (K + 1.0)
-            direct = g.weights.data * q * boost
+            direct = g.weights.data * per_entry(g, q) * boost
             sym = 0.5 * (direct + direct[g.mirror])
             assert np.array_equal(local_match_weights(g, q, f, sigma_f).wD, sym)
 

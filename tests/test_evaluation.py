@@ -39,6 +39,13 @@ class TestErrorRate:
         truth = [0, 0, 0, 0]
         assert error_rate(pred, truth, [0, 2]) == 0.0
         assert error_rate(pred, truth, [1, 3]) == 100.0
+        assert error_rate(pred, truth, np.array([1, 2], dtype=np.int32)) == 50.0
+
+    @pytest.mark.parametrize("idx", [[-1], [1.9], [0, 4], [True, False]])
+    def test_indices_must_be_integers_in_range(self, idx):
+        # as numpy indices, -1 would score the last node and 1.9 node 1
+        with pytest.raises(InputError, match="evaluation indices"):
+            error_rate([0, 1, 0, 1], [0, 0, 0, 0], idx)
 
 
 def exhaustive_oracle(grid, dataset, split):
@@ -180,6 +187,24 @@ class TestBenchmark:
         ds = gaussian_blobs(50, 2, 6.0, 2, seed=7)
         with pytest.raises(ParameterError, match="FLAP"):
             benchmark(ds, ["FLAP"], [0], GridSpec(), train_labels=4)
+
+    @pytest.mark.parametrize(
+        "seeds, train_labels, name",
+        [([1.5], 4, "seed"), ([0, -1], 4, "seed"), ([0], 4.7, "train_labels"),
+         ([0], 0, "train_labels")],
+    )
+    def test_seeds_and_train_labels_must_be_integers(self, seeds, train_labels, name):
+        # int() would run seed 1.5 as seed 1 and draw 4 labels for 4.7
+        ds = gaussian_blobs(50, 2, 6.0, 2, seed=7)
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            benchmark(ds, ["GRF"], seeds, GridSpec(), train_labels=train_labels)
+
+    def test_numpy_integer_seeds_and_train_labels(self):
+        ds = gaussian_blobs(50, 2, 6.0, 2, seed=6)
+        grid = GridSpec(K_values=(4,))
+        a = benchmark(ds, ["GRF"], [np.int64(3)], grid, train_labels=np.int32(4))
+        b = benchmark(ds, ["GRF"], [3], grid, train_labels=4)
+        assert report_kv(a) == report_kv(b)
 
     def test_empty_seed_list_rejected(self):
         ds = gaussian_blobs(50, 2, 6.0, 2, seed=7)

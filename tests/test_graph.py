@@ -11,7 +11,6 @@ from anisodiff.data import read_graph_triplets, write_graph_triplets
 from anisodiff.errors import (
     DegenerateDataError,
     InputError,
-    NonEdgeError,
     ParameterError,
 )
 from anisodiff.graph import (
@@ -207,7 +206,7 @@ class TestGaussianWeights:
         D = dist_from_points([0.0, 2.0])
         nbrs = knn_neighborhoods(D, 1)
         g = gaussian_weights(D, 4.0, nbrs)
-        assert g.edge_weight(0, 1) == pytest.approx(math.exp(-1), rel=1e-15)
+        assert g.weights[0, 1] == pytest.approx(math.exp(-1), rel=1e-15)
 
     def test_duplicate_points_weight_one(self):
         D = np.zeros((3, 3))
@@ -215,7 +214,7 @@ class TestGaussianWeights:
         D[1, 2] = D[2, 1] = 1.0
         nbrs = knn_neighborhoods(D, 1)
         g = gaussian_weights(D, 1.0, nbrs)
-        assert g.edge_weight(0, 1) == 1.0
+        assert g.weights[0, 1] == 1.0
 
     def test_triangle_degrees(self, triangle):
         assert np.allclose(triangle.degrees, [0.7, 0.8, 0.5], atol=1e-15)
@@ -239,7 +238,7 @@ class TestGaussianWeights:
         rng = np.random.default_rng(5)
         _, g = random_knn_graph(rng, 40, 5)
         for i, j in zip(g.rows[:50], g.weights.indices[:50]):
-            assert g.edge_weight(int(j), int(i)) == g.edge_weight(int(i), int(j))
+            assert g.weights[j, i] == g.weights[i, j]
 
     def test_degree_consistency_random_graphs(self):
         rng = np.random.default_rng(6)
@@ -452,32 +451,18 @@ class TestEdgePosition:
         D = dist_from_points([0.0, d])
         nbrs = knn_neighborhoods(D, 1)
         g = gaussian_weights(D, 1.0, nbrs)
-        assert g.edge_weight(0, 1) == pytest.approx(0.25, rel=1e-15)
-
-    def test_non_edge_raises(self, triangle):
-        with pytest.raises(NonEdgeError):
-            triangle.edge_position(0, 0)
-        rng = np.random.default_rng(7)
-        _, g = random_knn_graph(rng, 20, 2)
-        dense = g.weights.toarray()
-        zeros = np.argwhere(dense == 0)
-        i, j = next((i, j) for i, j in zeros if i != j)
-        with pytest.raises(NonEdgeError):
-            g.edge_position(int(i), int(j))
+        assert g.weights[0, 1] == pytest.approx(0.25, rel=1e-15)
 
     def test_matches_dense_lookup_for_every_pair(self):
         _, g = random_knn_graph(np.random.default_rng(11), 25, 3)
         stored = zip(g.rows.tolist(), g.weights.indices.tolist())
         position = {pair: p for p, pair in enumerate(stored)}
-        # indices outside [0, n) too: a key i * n + j such as (0, n) = (1, 0)
-        # can name a stored entry
-        for i in range(-2, g.n + 2):
-            for j in range(-2, g.n + 2):
-                if (i, j) in position:
-                    assert g.edge_position(i, j) == position[i, j]
-                else:
-                    with pytest.raises(NonEdgeError):
-                        g.edge_position(i, j)
+        i, j = np.meshgrid(np.arange(g.n), np.arange(g.n), indexing="ij")
+        pos, found = g._positions(i, j)
+        for a, b in zip(i.ravel().tolist(), j.ravel().tolist()):
+            assert found[a, b] == ((a, b) in position)
+            if found[a, b]:
+                assert pos[a, b] == position[a, b]
 
 
 class TestTripletRoundTrip:

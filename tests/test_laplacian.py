@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisodiff.diffusivity import AnisotropicWeights, variant_weights
-from anisodiff.errors import ShapeError
+from anisodiff.errors import ParameterError, ShapeError
 from anisodiff.laplacian import LaplacianOperator, regularizer_energy
 
 from oracles import (
@@ -100,6 +100,16 @@ class TestRegularizerEnergy:
         form = float(np.sum(g.degrees[:, None] * f * Lf))
         assert e == pytest.approx(form, rel=1e-8)
 
+    def test_misaligned_weights_raise(self):
+        # read at the upper positions, a longer wD would give a value and a
+        # shorter one a bare IndexError
+        rng = np.random.default_rng(37)
+        _, g = random_knn_graph(rng, 20, 3)
+        f = rng.normal(size=(20, 1))
+        for size in (g.weights.nnz + 5, 3):
+            with pytest.raises(ShapeError, match="not aligned"):
+                regularizer_energy(g, AnisotropicWeights(np.ones(size)), f)
+
     def test_nonnegative_on_random_inputs(self):
         rng = np.random.default_rng(35)
         _, g = random_knn_graph(rng, 30, 4)
@@ -125,6 +135,13 @@ def test_null_space_and_psd_property(seed):
         f = rng.normal(size=(n, 2))
         Lf = LaplacianOperator(g, wd)(f)
         assert float(np.sum(g.degrees[:, None] * f * Lf)) >= -1e-10
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, np.nan])
+def test_step_rejects_nonpositive_delta(triangle, delta):
+    # a negative delta would run an anti-diffusion step
+    with pytest.raises(ParameterError, match="delta must be positive"):
+        LaplacianOperator(triangle).step(np.ones((3, 1)), delta)
 
 
 def test_operator_reuse_matches_function():
