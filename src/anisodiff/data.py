@@ -132,9 +132,9 @@ def split_labels(dataset: Dataset, l: int, seed: int) -> SplitSpec:
     y = dataset.labels
     n, c = dataset.n, dataset.c
     if l < c:
-        raise InputError(f"need l >= c for one train label per class, got l={l}, c={c}")
+        raise ParameterError(f"need l >= c for one train label per class, got l={l}, c={c}")
     if 2 * l > n:
-        raise InputError(f"need 2l <= n, got l={l}, n={n}")
+        raise ParameterError(f"need 2l <= n, got l={l}, n={n}")
     rng = _rng(seed)
     pools = []
     for cls in range(c):
@@ -211,8 +211,16 @@ def _node_indices(path, columns, n: int | None = None):
     return idx, size
 
 
+def _validated(path, validate, table) -> np.ndarray:
+    """``validate(table)``, with its ParameterError as an InputError naming ``path``."""
+    try:
+        return validate(table)
+    except ParameterError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def read_features(path) -> np.ndarray:
-    return validate_features(_read_table(path))
+    return _validated(path, validate_features, _read_table(path))
 
 
 def read_distances(path) -> np.ndarray:
@@ -235,7 +243,7 @@ def read_distances(path) -> np.ndarray:
                 stacklevel=2,
             )
             table = 0.5 * (table + table.T)
-        return validate_distances(table)
+        return _validated(path, validate_distances, table)
     if table.shape[1] != 3:
         raise InputError(
             f"{path}: expected a square matrix or 'i j dist' triplets, "
@@ -263,7 +271,7 @@ def read_distances(path) -> np.ndarray:
     if np.isnan(D.min()):
         i, j = np.argwhere(np.isnan(D))[0]
         raise InputError(f"{path}: missing distance for pair ({i}, {j})")
-    return validate_distances(D)
+    return _validated(path, validate_distances, D)
 
 
 def read_label_pairs(path):

@@ -137,6 +137,9 @@ def _trajectory(
         raise ParameterError(
             f"label state shape {f.shape} does not match graph n={graph.n}, c={state.c}"
         )
+    nbrs = graph.neighborhoods  # None for an edge-list graph, which carries no K
+    if nbrs is not None and nbrs.shape[1] != config.K:
+        raise ParameterError(f"config K={config.K} does not match the graph's K={nbrs.shape[1]}")
     if not state.labeled_mask.any():
         warnings.warn(
             "no labeled nodes: the labeled-row mask is empty, so no row "

@@ -56,6 +56,8 @@ class GridSpec:
                 raise ParameterError(f"{name} entries must be {kind.__name__} numbers")
             if any(v <= 0 for v in values):
                 raise ParameterError(f"{name} entries must be positive")
+            # a repeated value would rerun the same cells
+            object.__setattr__(self, name, tuple(dict.fromkeys(values)))
 
 
 def error_rate(predicted, truth, eval_indices) -> float:
@@ -97,7 +99,7 @@ def grid_search(
     """
     y = dataset.labels
     best = None  # (cell key, config, labels)
-    T_values = sorted(set(int(t) for t in grid.T_values))
+    T_values = sorted(map(int, grid.T_values))
     # the isotropic variant ignores sigma_f; evaluate a single column
     sigmas = grid.sigma_f_values[:1] if grid.variant == "isotropic" else grid.sigma_f_values
     state = init_labels(zip(split.train, y[split.train]), dataset.n, dataset.c)
@@ -172,6 +174,8 @@ def benchmark(
     outside the deterministic report fields.
     """
     methods = list(methods)
+    if not methods:
+        raise ParameterError("methods must name at least one method")
     for m in methods:
         if m not in METHODS:
             raise ParameterError(f"unknown method {m!r}; valid: {', '.join(METHODS)}")

@@ -304,7 +304,7 @@ class TestBenchmark:
                  "--seeds", seeds, "--out", tmp_path / "r"]
             )
         assert exc.value.code == 2
-        assert "--seeds must name at least one seed" in capsys.readouterr().err
+        assert "seeds must name at least one seed" in capsys.readouterr().err
         assert not (tmp_path / "r.kv").exists()
 
     def test_unknown_method_usage_error(self, tmp_path, capsys):
@@ -317,6 +317,78 @@ class TestBenchmark:
             )
         assert exc.value.code == 2
         assert "A_LM" in capsys.readouterr().err  # lists the valid methods
+
+
+# base command lines of the exit-code table; a flag given twice takes its last value
+_BASE = {
+    "synth": ["synth", "--out", "{out}"],
+    "build-graph": ["build-graph", "--features", "{features}", "--out", "{out}"],
+    "propagate": ["propagate", "--features", "{features}", "--labels", "{train}",
+                  "--K", 5, "--T", 5, "--out", "{out}"],
+    "grf": ["grf", "--features", "{features}", "--labels", "{train}", "--out", "{out}"],
+    "benchmark": ["benchmark", "--features", "{features}", "--labels", "{truth}",
+                  "--methods", "I", "--train-labels", 4, "--grid-T", 5,
+                  "--grid-sigma-f", 0.2, "--out", "{out}"],
+}
+
+
+class TestExitCodeRule:
+    """A bad argument is a usage error in every subcommand; bad file contents are not."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        data = synth_moons(tmp_path, n=60)
+        train = tmp_path / "train.txt"
+        train.write_text("0 0\n59 1\n")
+        return {"features": data / "features.txt", "truth": data / "labels.txt",
+                "train": train, "out": tmp_path / "out"}
+
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("propagate", ["--delta", -1], "delta must be positive"),
+            ("benchmark", ["--delta", -1], "delta must be positive"),
+            ("propagate", ["--warm-start", -1], "warm_start_steps must be"),
+            ("benchmark", ["--warm-start", -1], "warm_start_steps must be"),
+            ("grf", ["--K", 500], "K must satisfy 1 <= K <= n-1 = 59"),
+            ("build-graph", ["--K", 500], "K must satisfy 1 <= K <= n-1 = 59"),
+            ("benchmark", ["--grid-K", 500], "K must satisfy 1 <= K <= n-1 = 59"),
+            ("synth", ["--kind", "two-moons", "--n", 5], "n must be even"),
+            ("synth", ["--kind", "two-moons", "--n", 60, "--noise", -1], "noise_sd"),
+            ("synth", ["--kind", "blobs", "--n", 60, "--classes", 1], "n >= c >= 2"),
+            ("synth", ["--kind", "blobs", "--n", 60, "--dim", 0], "d must be >= 1"),
+            ("benchmark", ["--seeds", -1], "seed must be an integer >= 0"),
+            ("benchmark", ["--seeds", ","], "seeds must name at least one seed"),
+            ("benchmark", ["--train-labels", 100], "2l <= n"),
+            ("benchmark", ["--methods", "I,LNP"], "unknown method 'LNP'"),
+            ("benchmark", ["--methods", ","], "methods must name at least one method"),
+        ],
+    )
+    def test_bad_argument_usage_error(self, paths, capsys, command, extra, message):
+        args = [str(a).format(**paths) for a in _BASE[command] + extra]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "anisodiff: error:" in err and message in err
+        assert not list(paths["out"].parent.glob("out*"))
+
+    @pytest.mark.parametrize(
+        "flag, contents, message",
+        [
+            ("--features", "0 0\n1 nan\n2 2\n", "features contain non-finite entries"),
+            ("--distances", "0 1 1.0\n0 2 -1.0\n1 2 1.0\n",
+             "distance matrix contains negative entries"),
+        ],
+        ids=["features-nan", "triplet-negative"],
+    )
+    def test_bad_file_contents_runtime_error(self, paths, capsys, flag, contents, message):
+        bad = paths["out"].parent / "bad.txt"
+        bad.write_text(contents)
+        code = run_cli(["build-graph", flag, bad, "--K", 1, "--out", paths["out"]])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+        assert not paths["out"].exists()
 
 
 class TestDefaults:

@@ -108,9 +108,9 @@ class TestSplitLabels:
 
     def test_infeasible_raises(self):
         ds = two_moons(100, 0.1, seed=0)
-        with pytest.raises(InputError):
+        with pytest.raises(ParameterError):
             split_labels(ds, 1, seed=0)  # l < c
-        with pytest.raises(InputError):
+        with pytest.raises(ParameterError):
             split_labels(ds, 60, seed=0)  # 2l > n
 
 

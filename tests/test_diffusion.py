@@ -307,6 +307,24 @@ class TestRunDiffusion:
         assert int(t) == 3
         assert float(e) == res.energies[3]
 
+    def test_config_K_must_match_a_knn_graph(self, tmp_path):
+        # the K a run records must be the K of the graph it ran on
+        from anisodiff.data import read_graph_triplets, two_moons, write_graph_triplets
+        from anisodiff.graph import build_knn_graph
+
+        g = build_knn_graph(two_moons(60, 0.1, seed=0).distance_matrix, 5)
+        state = init_labels([(0, 0), (59, 1)], 60, 2)
+        cfg = DiffusionConfig(K=3, T=5)
+        with pytest.raises(ParameterError, match="K=3 does not match the graph's K=5"):
+            run_diffusion(cfg, g, state)
+        with pytest.raises(ParameterError, match="K=3 does not match the graph's K=5"):
+            snapshots_at(cfg, g, state, [5])
+        # an edge-list graph carries no K, so any config K runs on it
+        write_graph_triplets(g, tmp_path / "g.txt")
+        edges = read_graph_triplets(tmp_path / "g.txt")
+        expected = run_diffusion(replace(cfg, K=5), g, state).f
+        assert np.array_equal(run_diffusion(cfg, edges, state).f, expected)
+
 
 class TestSnapshots:
     def test_prefix_property_matches_independent_runs(self):

@@ -160,6 +160,27 @@ class TestGridSpecValidation:
         grid = GridSpec(K_values=(np.int64(5),), T_values=(np.int32(10),))
         assert grid.K_values == (5,)
 
+    def test_repeated_values_kept_once_in_order(self):
+        grid = GridSpec(K_values=[10, 5, 10], T_values=(50, 10, 50), sigma_f_values=[0.2, 0.2])
+        assert (grid.K_values, grid.T_values, grid.sigma_f_values) == ((10, 5), (50, 10), (0.2,))
+        assert hash(grid) == hash(GridSpec(K_values=(10, 5), T_values=(50, 10), sigma_f_values=(0.2,)))
+
+    def test_repeated_values_run_once(self, monkeypatch):
+        from anisodiff import evaluation
+
+        calls = dict.fromkeys(["snapshots_at", "grf_harmonic"], 0)
+        for name in calls:
+            def counted(*args, _name=name, _call=getattr(evaluation, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(evaluation, name, counted)
+        ds = two_moons(80, 0.1, seed=0)
+        repeated = benchmark(ds, ["A_S", "GRF"], [0], GridSpec((5, 5, 5), (5, 10, 5), (0.1, 0.1)))
+        assert calls == {"snapshots_at": 1, "grf_harmonic": 1}
+        single = benchmark(ds, ["A_S", "GRF"], [0], GridSpec((5,), (5, 10), (0.1,)))
+        assert report_kv(repeated) == report_kv(single)
+
 
 class TestBenchmark:
     @pytest.fixture(scope="class")
@@ -205,6 +226,11 @@ class TestBenchmark:
         a = benchmark(ds, ["GRF"], [np.int64(3)], grid, train_labels=np.int32(4))
         b = benchmark(ds, ["GRF"], [3], grid, train_labels=4)
         assert report_kv(a) == report_kv(b)
+
+    def test_empty_method_list_rejected(self):
+        ds = gaussian_blobs(50, 2, 6.0, 2, seed=7)
+        with pytest.raises(ParameterError, match="at least one method"):
+            benchmark(ds, [], [0], GridSpec(), train_labels=4)
 
     def test_empty_seed_list_rejected(self):
         ds = gaussian_blobs(50, 2, 6.0, 2, seed=7)
