@@ -230,8 +230,6 @@ def _labeled_inputs(parser, args):
         truth, mapping = datamod.read_labels(args.truth, n)
         _report_mapping(mapping)
         c = int(truth.max()) + 1
-        if cls.max() >= c:
-            raise InputError("labeled classes exceed ground-truth class range")
     else:
         c = int(cls.max()) + 1
     return D, idx, init_labels(zip(idx, cls), n, c), truth

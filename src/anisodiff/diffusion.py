@@ -16,7 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffusivity import VARIANTS, MutualSums, edge_sqnorms, variant_weights
+from .diffusivity import (
+    VARIANTS, MutualSums, _check_sigma_f, edge_sqnorms, variant_weights
+)
 from .errors import DivergenceError, InputError, ParameterError
 from .graph import Graph
 from .laplacian import LaplacianOperator
@@ -61,8 +63,7 @@ class DiffusionConfig:
         _check_integer("K", self.K, 1)
         _check_integer("T", self.T, 0)
         _check_integer("warm_start_steps", self.warm_start_steps, 0)
-        if not self.sigma_f > 0:
-            raise ParameterError(f"sigma_f must be positive, got {self.sigma_f}")
+        _check_sigma_f(self.sigma_f)
         if not self.delta > 0:
             raise ParameterError(f"delta must be positive, got {self.delta}")
         if self.variant not in VARIANTS:

@@ -55,8 +55,10 @@ def edge_sqnorms(graph: Graph, f) -> np.ndarray:
 
 
 def _check_sigma_f(sigma_f: float) -> None:
-    if not sigma_f > 0:
-        raise ParameterError(f"sigma_f must be positive, got {sigma_f}")
+    # the fields divide by sigma_f * sigma_f, which underflows to 0 for a
+    # tiny sigma_f
+    if not (sigma_f > 0 and sigma_f * sigma_f > 0):
+        raise ParameterError(f"sigma_f must be positive with a nonzero square, got {sigma_f}")
 
 
 def _field_from_sqnorms(graph: Graph, g2, sigma_f: float) -> np.ndarray:

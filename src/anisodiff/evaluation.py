@@ -8,7 +8,9 @@ it is recomputed from the kNN distances for each K.
 
 from __future__ import annotations
 
+import itertools
 import numbers
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -19,6 +21,7 @@ from .data import Dataset, SplitSpec, split_labels
 from .diffusion import (
     DiffusionConfig, _check_integer, decode_labels, init_labels, snapshots_at
 )
+from .diffusivity import _check_sigma_f
 from .errors import DivergenceError, InputError, ParameterError, UnlabeledComponentError
 from .graph import build_knn_graph
 
@@ -58,6 +61,8 @@ class GridSpec:
                 raise ParameterError(f"{name} entries must be positive")
             # a repeated value would rerun the same cells
             object.__setattr__(self, name, tuple(dict.fromkeys(values)))
+        for sigma_f in self.sigma_f_values:
+            _check_sigma_f(sigma_f)
 
 
 def error_rate(predicted, truth, eval_indices) -> float:
@@ -152,6 +157,167 @@ class BenchmarkReport:
     rows: tuple
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: the processes ``benchmark`` runs in."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """What every grid slice of one benchmark reads."""
+
+    dataset: Dataset
+    grid: GridSpec
+    graphs: dict
+    train_labels: int
+    delta: float
+    warm_start_steps: int
+
+
+# relative cost of one sigma_f column per stored graph entry and step, and of
+# GRF's sparse solve per stored entry.  Slice times on two-moons n=600 (default
+# grid, one seed), as multiples of I's at the same K (K = 5, 10, 20): A_lin
+# 0.96-1.03, A_nlin 2.4-3.4, A_S 4.3-9.7, A_LM 10-37, and GRF 37-84 per entry.
+# The shares only need the slices' costs roughly right.
+_COLUMN_COST = {"I": 1.0, "A_lin": 1.0, "A_nlin": 3.0, "A_S": 8.0, "A_LM": 30.0}
+_GRF_COST = 80.0
+
+
+def _slice_cost(sweep: _Sweep, method: str, K) -> float:
+    graphs = sweep.graphs
+    if method == "GRF":
+        return _GRF_COST * sum(graphs[int(k)].weights.nnz for k in sweep.grid.K_values)
+    columns = 1 if method == "I" else len(sweep.grid.sigma_f_values)
+    steps = sweep.warm_start_steps + max(sweep.grid.T_values)
+    return _COLUMN_COST[method] * columns * steps * graphs[K].weights.nnz
+
+
+def _run_slice(sweep: _Sweep, method: str, seed: int, K):
+    """One grid slice of (method, seed): (key, selected, test error, seconds).
+
+    A diffusion slice searches the grid at the single K; the GRF slice
+    covers every K.  ``key`` orders the slice's best cell as the full search
+    would, so the minimum key over a (method, seed)'s slices is the cell the
+    full search selects.  The test error is None when that cell diverged.
+    """
+    t0 = time.perf_counter()
+    dataset = sweep.dataset
+    y = dataset.labels
+    split = split_labels(dataset, sweep.train_labels, seed)
+    if method == "GRF":
+        state = init_labels(zip(split.train, y[split.train]), dataset.n, dataset.c)
+        # a component without labels makes a K-cell unsolvable; it scores
+        # 100 rather than aborting the sweep
+        scores = []
+        for K in map(int, sweep.grid.K_values):
+            try:
+                labels = decode_labels(grf_harmonic(sweep.graphs[K], state).f)
+                err = error_rate(labels, y, split.validation)
+            except UnlabeledComponentError:
+                labels, err = None, 100.0
+            scores.append((err, K, labels))
+        err, K, labels = min(scores, key=lambda s: s[:2])
+        key, selected = (err, K), f"K:{K}"
+        test = 100.0 if labels is None else error_rate(labels, y, split.test)
+    else:
+        variant, mode = _METHOD_SETTINGS[method]
+        config, err, labels = grid_search(
+            replace(sweep.grid, K_values=(K,), variant=variant, mode=mode),
+            dataset,
+            split,
+            delta=sweep.delta,
+            warm_start_steps=sweep.warm_start_steps,
+            graph_cache=sweep.graphs,
+        )
+        key = (err, config.T, config.K, config.sigma_f)
+        selected = f"K:{config.K};T:{config.T};sigma_f:{config.sigma_f:.17g}"
+        test = None if labels is None else error_rate(labels, y, split.test)
+    return key, selected, test, time.perf_counter() - t0
+
+
+# the sweep a forked child reads, set by the pool's initializer in the child
+# only: the fork shares the graphs copy-on-write, never pickled, and threads
+# of the calling process that run benchmarks of their own never see it
+_forked_sweep = None
+
+
+def _set_forked_sweep(sweep: _Sweep) -> None:
+    global _forked_sweep
+    _forked_sweep = sweep
+
+
+def _run_forked(tasks) -> list:
+    return [_run_slice(_forked_sweep, *task) for task in tasks]
+
+
+def _shares(costs, processes: int) -> list:
+    """Task indices per process: costliest first, each to the least-loaded.
+
+    Ties go to the lower process, so process 0 takes the costliest task.
+    The shares depend on the costs alone, never on timing.
+    """
+    loads = [0.0] * processes
+    shares = [[] for _ in range(processes)]
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        p = loads.index(min(loads))
+        shares[p].append(i)
+        loads[p] += costs[i]
+    return shares
+
+
+def _build_structures(graphs: dict, methods) -> None:
+    """Build the graphs' lazy structures that the methods' slices read."""
+    for graph in graphs.values():
+        if set(methods) - {"GRF"}:
+            graph.upper, graph.undirected_edges, graph.edge_weights, graph.mirror
+        if "A_S" in methods:
+            graph.mutual_structure
+        if "A_LM" in methods:
+            graph.match_structure, graph.cross_pairs
+
+
+def _run_slices(sweep: _Sweep, tasks) -> list:
+    """Every task's :func:`_run_slice` result, in task order.
+
+    One process per usable CPU, up to one per task: the calling process runs
+    share 0 and forks a child per further share, and every child is joined
+    before this returns or raises.  Everything runs here when one process is
+    enough, when the fork start method is unavailable, or in a daemonic
+    process, which may not have children.
+    """
+    # imported here, so the package's import does not load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    processes = min(usable_cpus(), len(tasks))
+    if (
+        processes == 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        return [_run_slice(sweep, *task) for task in tasks]
+    # built before the fork, so no child builds its own copy
+    _build_structures(sweep.graphs, {method for method, _, _ in tasks})
+    costs = [_slice_cost(sweep, method, K) for method, _, K in tasks]
+    own, *others = _shares(costs, processes)
+    with ProcessPoolExecutor(
+        len(others),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_forked_sweep,
+        initargs=(sweep,),
+    ) as pool:
+        futures = [pool.submit(_run_forked, [tasks[i] for i in share]) for share in others]
+        done = [(own, [_run_slice(sweep, *tasks[i]) for i in own])]
+        done += [(share, future.result()) for share, future in zip(others, futures)]
+    results = [None] * len(tasks)
+    for share, out in done:
+        for i, result in zip(share, out):
+            results[i] = result
+    return results
+
+
 def benchmark(
     dataset: Dataset,
     methods,
@@ -168,10 +334,16 @@ def benchmark(
     it); the default draws two labels per class.  The test error is read
     from the selected cell's own prediction, the one the search scored on
     validation, so nothing is rerun.  A selected diffusion cell that
-    diverged raises :class:`DivergenceError`.  ``mean_seconds`` is the wall
-    time of one seed's model selection (every cell of the grid, or every K
-    for GRF); the graphs are built beforehand and never timed.  Timing lives
-    outside the deterministic report fields.
+    diverged raises :class:`DivergenceError`.
+
+    The search runs in slices: one per (method, seed, K) for the diffusion
+    methods and one per seed for GRF, spread over one process per usable
+    CPU (:func:`usable_cpus`), the calling one included, on the fork start
+    method; the report is the same for any number of processes.  The
+    graphs, and before a fork their structures, are built beforehand and
+    never timed.  ``mean_seconds`` is the mean over seeds of the summed
+    wall time of a seed's slices, each timed in the process that ran it;
+    timing lives outside the deterministic report fields.
     """
     methods = list(methods)
     if not methods:
@@ -186,49 +358,29 @@ def benchmark(
         _check_integer("seed", s, 0)
     l = 2 * dataset.c if train_labels is None else train_labels
     _check_integer("train_labels", l, 1)
-    y = dataset.labels
-    graphs = {
-        K: build_knn_graph(dataset.distance_matrix, K) for K in set(map(int, grid.K_values))
-    }
+    # checks delta and warm_start_steps whichever methods run
+    DiffusionConfig(delta=delta, warm_start_steps=warm_start_steps)
+    K_values = tuple(map(int, grid.K_values))
+    graphs = {K: build_knn_graph(dataset.distance_matrix, K) for K in K_values}
+    sweep = _Sweep(dataset, grid, graphs, l, delta, warm_start_steps)
+    tasks = [
+        (method, seed, K)
+        for method in methods
+        for seed in seeds
+        for K in ((None,) if method == "GRF" else K_values)
+    ]
+    results = iter(_run_slices(sweep, tasks))
     rows = []
     for method in methods:
         errors, selected, seconds = [], [], []
         for seed in seeds:
-            split = split_labels(dataset, l, seed)
-            t0 = time.perf_counter()
-            if method == "GRF":
-                state = init_labels(
-                    zip(split.train, y[split.train]), dataset.n, dataset.c
-                )
-                # a component without labels makes a K-cell unsolvable; it
-                # scores 100 rather than aborting the sweep
-                scores = []
-                for K in grid.K_values:
-                    try:
-                        labels = decode_labels(grf_harmonic(graphs[int(K)], state).f)
-                        err = error_rate(labels, y, split.validation)
-                    except UnlabeledComponentError:
-                        labels, err = None, 100.0
-                    scores.append((err, int(K), labels))
-                _, K, labels = min(scores, key=lambda s: s[:2])
-                selected.append(f"K:{K}")
-            else:
-                variant, mode = _METHOD_SETTINGS[method]
-                config, _, labels = grid_search(
-                    replace(grid, variant=variant, mode=mode),
-                    dataset,
-                    split,
-                    delta=delta,
-                    warm_start_steps=warm_start_steps,
-                    graph_cache=graphs,
-                )
-                if labels is None:
-                    raise DivergenceError(f"diffusion diverged at delta={delta}")
-                selected.append(
-                    f"K:{config.K};T:{config.T};sigma_f:{config.sigma_f:.17g}"
-                )
-            seconds.append(time.perf_counter() - t0)
-            errors.append(100.0 if labels is None else error_rate(labels, y, split.test))
+            slices = list(itertools.islice(results, 1 if method == "GRF" else len(K_values)))
+            _, choice, error, _ = min(slices, key=lambda r: r[0])
+            if error is None:
+                raise DivergenceError(f"diffusion diverged at delta={delta}")
+            errors.append(error)
+            selected.append(choice)
+            seconds.append(sum(r[3] for r in slices))
         errors = tuple(errors)
         mean = float(np.mean(errors))
         sd = float(np.std(errors, ddof=1)) if len(errors) > 1 else 0.0

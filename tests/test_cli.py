@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -268,7 +270,7 @@ class TestLabeledInputs:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert "labeled classes exceed ground-truth class range" in err
+        assert "class 7 outside [0, 2)" in err
         assert not (tmp_path / "p.txt").exists()
 
 
@@ -293,6 +295,43 @@ class TestBenchmark:
 
         report = parse_report_kv((tmp_path / "r1.kv").read_text())
         assert [r.method for r in report.rows] == ["I", "GRF"]
+
+    def test_reports_identical_for_one_or_two_processes(self, tmp_path, monkeypatch):
+        out = synth_moons(tmp_path, n=60, seed=11)
+        args = [
+            "benchmark", "--features", out / "features.txt",
+            "--labels", out / "labels.txt", "--methods", "I,A_nlin,A_S,GRF",
+            "--seeds", "0,1", "--train-labels", 4,
+            "--grid-K", "4,6", "--grid-T", "5,10", "--grid-sigma-f", "0.2,1",
+        ]
+        # benchmark runs in one process per usable CPU
+        for n in (1, 2):
+            monkeypatch.setattr(evaluation, "usable_cpus", lambda: n)
+            assert run_cli(args + ["--out", tmp_path / f"p{n}"]) == 0
+        for ext in ("txt", "kv"):
+            assert (tmp_path / f"p1.{ext}").read_bytes() == (tmp_path / f"p2.{ext}").read_bytes()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--grid-sigma-f", 1e-200], ["--delta", -1, "--warm-start", -5]],
+        ids=["sigma-f", "delta-warm-start"],
+    )
+    def test_bad_argument_rejected_before_any_worker_starts(
+        self, tmp_path, monkeypatch, extra
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+        out = synth_moons(tmp_path, n=60)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["benchmark", "--features", out / "features.txt",
+                     "--labels", out / "labels.txt", "--methods", "I,GRF",
+                     "--seeds", "0,1", "--train-labels", 4, "--grid-T", 5,
+                     "--out", tmp_path / "r", *extra])
+        assert exc.value.code == 2
+        assert not (tmp_path / "r.kv").exists()
 
     @pytest.mark.parametrize("seeds", ["", ","])
     def test_empty_seed_list_usage_error(self, tmp_path, capsys, seeds):
@@ -362,6 +401,12 @@ class TestExitCodeRule:
             ("benchmark", ["--train-labels", 100], "2l <= n"),
             ("benchmark", ["--methods", "I,LNP"], "unknown method 'LNP'"),
             ("benchmark", ["--methods", ","], "methods must name at least one method"),
+            ("benchmark", ["--methods", "GRF", "--delta", -1, "--warm-start", -5],
+             "warm_start_steps must be"),
+            ("benchmark", ["--methods", "GRF", "--delta", -1], "delta must be positive"),
+            ("propagate", ["--sigma-f", 1e-200], "sigma_f must be positive with a nonzero square"),
+            ("benchmark", ["--grid-sigma-f", 1e-200],
+             "sigma_f must be positive with a nonzero square"),
         ],
     )
     def test_bad_argument_usage_error(self, paths, capsys, command, extra, message):

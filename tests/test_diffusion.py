@@ -504,6 +504,7 @@ class TestConfigValidation:
             dict(K=0),
             dict(T=-1),
             dict(sigma_f=0.0),
+            dict(sigma_f=1e-200),  # its square underflows to 0
             dict(delta=-0.5),
             dict(warm_start_steps=-1),
             # a fractional count would be truncated, or fail only inside the loop

@@ -1,6 +1,12 @@
+import contextlib
+import multiprocessing
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from anisodiff import evaluation
 from anisodiff.data import gaussian_blobs, split_labels, two_moons
 from anisodiff.diffusion import DiffusionConfig, decode_labels, init_labels, run_diffusion
 from anisodiff.errors import DivergenceError, InputError, ParameterError
@@ -15,7 +21,15 @@ from anisodiff.evaluation import (
 )
 from anisodiff.graph import build_knn_graph
 
-from oracles import benchmark_rerun_errors
+from oracles import BENCHMARK_METHODS, benchmark_rerun_errors
+
+
+@contextlib.contextmanager
+def processes(n):
+    """Run ``benchmark`` in n processes: it takes one per usable CPU."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "usable_cpus", lambda: n)
+        yield
 
 
 class TestErrorRate:
@@ -152,6 +166,11 @@ class TestGridSpecValidation:
         with pytest.raises(ParameterError):
             GridSpec(sigma_f_values=(0.0,))
 
+    def test_sigma_f_with_zero_square_rejected(self):
+        # 1e-200 is positive, but its square underflows to 0
+        with pytest.raises(ParameterError, match="sigma_f must be positive with a nonzero square"):
+            GridSpec(sigma_f_values=(0.1, 1e-200))
+
     def test_fractional_K_or_T_rejected(self):
         # int() in the search would have run K=5, T=10 without a word
         for kwargs in ({"K_values": (5.7,)}, {"T_values": (10, 10.9)}):
@@ -175,6 +194,8 @@ class TestGridSpecValidation:
                 return _call(*args, **kwargs)
 
             monkeypatch.setattr(evaluation, name, counted)
+        # the calls are counted in this process, so nothing may run in a child
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: 1)
         ds = two_moons(80, 0.1, seed=0)
         repeated = benchmark(ds, ["A_S", "GRF"], [0], GridSpec((5, 5, 5), (5, 10, 5), (0.1, 0.1)))
         assert calls == {"snapshots_at": 1, "grf_harmonic": 1}
@@ -294,3 +315,125 @@ class TestBenchmarkMatchesRerun:
         assert err == 100.0 and labels is None
         with pytest.raises(DivergenceError, match="diverged at delta=1000"):
             benchmark(ds, ["I"], [4], grid, train_labels=4, delta=1000.0)
+
+
+class TestParallelBenchmark:
+    """Any process count gives the serial report, and no child outlives a call."""
+
+    ALL_METHODS = ["I", "A_lin", "A_nlin", "A_S", "A_LM", "GRF"]
+    GRID = GridSpec(K_values=(4, 8), T_values=(5, 20), sigma_f_values=(0.1, 0.5))
+
+    @pytest.fixture(scope="class")
+    def noisy(self):
+        # noisy, so the selected cells differ across methods and seeds
+        return two_moons(80, 0.2, seed=12)
+
+    @pytest.fixture(scope="class")
+    def reports(self, noisy):
+        reports = {}
+        for n in (1, 2, 3):
+            with processes(n):
+                reports[n] = benchmark(noisy, self.ALL_METHODS, [0, 1], self.GRID, train_labels=4)
+        return reports
+
+    def test_reports_byte_identical_for_any_process_count(self, reports):
+        for w in (2, 3):
+            assert report_kv(reports[w]) == report_kv(reports[1])
+            assert report_table(reports[w]) == report_table(reports[1])
+        assert all(r.mean_seconds > 0 for r in reports[2].rows)
+        assert not multiprocessing.active_children()
+
+    def test_selection_is_the_full_grid_search(self, noisy, reports):
+        # the least of the per-K slice minima is the cell one search over every K picks
+        cells = set()
+        for row in reports[2].rows:
+            if row.method == "GRF":
+                continue
+            variant, mode = BENCHMARK_METHODS[row.method]
+            grid = replace(self.GRID, variant=variant, mode=mode)
+            for seed, cell in zip(reports[2].seeds, row.selected):
+                config, _, _ = grid_search(grid, noisy, split_labels(noisy, 4, seed))
+                assert cell == f"K:{config.K};T:{config.T};sigma_f:{config.sigma_f:.17g}"
+                cells.add(cell)
+        assert len({cell.split(";")[0] for cell in cells}) == 2  # both K values win somewhere
+
+    def test_more_cpus_than_slices(self):
+        ds = two_moons(40, 0.1, seed=1)
+        grid = GridSpec(K_values=(4,), T_values=(5,), sigma_f_values=(0.2,))
+        with processes(1):
+            serial = benchmark(ds, ["I", "GRF"], [0], grid, train_labels=4)
+        with processes(8):
+            wide = benchmark(ds, ["I", "GRF"], [0], grid, train_labels=4)
+        assert report_kv(wide) == report_kv(serial)
+        assert not multiprocessing.active_children()
+
+    def test_calling_process_runs_the_costliest_slice(self, monkeypatch):
+        # a child's calls are recorded in the child's memory, not here
+        calls = []
+        real = evaluation.grid_search
+
+        def recorded(grid, *args, **kwargs):
+            calls.append((grid.variant, grid.K_values))
+            return real(grid, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "grid_search", recorded)
+        ds = two_moons(40, 0.1, seed=1)
+        grid = GridSpec(K_values=(3, 5), T_values=(5,), sigma_f_values=(0.2, 0.5))
+        with processes(2):
+            benchmark(ds, ["I", "A_S"], [0], grid, train_labels=4)
+        assert ("smooth", (5,)) in calls
+        assert len(calls) < 4
+
+    @pytest.mark.parametrize("error", [DivergenceError, ParameterError])
+    def test_child_error_keeps_its_type_and_no_child_remains(self, monkeypatch, error):
+        parent = os.getpid()
+        real = evaluation.grid_search
+
+        def failing_in_child(*args, **kwargs):
+            if os.getpid() != parent:
+                raise error("raised in a child")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "grid_search", failing_in_child)
+        ds = two_moons(40, 0.1, seed=1)
+        grid = GridSpec(K_values=(3, 4, 5), T_values=(5,), sigma_f_values=(0.2,))
+        with processes(2), pytest.raises(error, match="raised in a child"):
+            benchmark(ds, ["A_nlin"], [0], grid, train_labels=4)
+        assert not multiprocessing.active_children()
+
+    def test_diverged_selection_raises_after_the_children_end(self):
+        ds = gaussian_blobs(40, 2, 10.0, 2, seed=4)
+        grid = GridSpec(K_values=(3, 4), T_values=(400,), sigma_f_values=(0.2,))
+        with processes(2), pytest.raises(DivergenceError, match="diverged at delta=1000"):
+            benchmark(ds, ["I"], [4], grid, train_labels=4, delta=1000.0)
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(delta=-1.0), "delta must be positive"),
+            (dict(warm_start_steps=-5), "warm_start_steps must be"),
+        ],
+    )
+    def test_arguments_checked_for_any_method_list(self, kwargs, match):
+        ds = two_moons(40, 0.1, seed=1)
+        with pytest.raises(ParameterError, match=match):
+            benchmark(ds, ["GRF"], [0], GridSpec(K_values=(4,)), train_labels=4, **kwargs)
+
+    def test_daemonic_process_runs_serially(self):
+        # a daemonic process may not have children, so it runs every slice itself
+        serial = report_kv(_small_benchmark())
+        with processes(2), multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(_small_benchmark_kv) == serial
+        assert not multiprocessing.active_children()
+
+
+def _small_benchmark():
+    ds = two_moons(40, 0.1, seed=1)
+    grid = GridSpec(K_values=(3, 4), T_values=(5,), sigma_f_values=(0.2,))
+    return benchmark(ds, ["I", "A_nlin"], [0], grid, train_labels=4)
+
+
+def _small_benchmark_kv():
+    assert multiprocessing.current_process().daemon
+    return report_kv(_small_benchmark())
