@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError, ParameterError
 from .graph import (
@@ -146,10 +145,7 @@ def split_labels(dataset: Dataset, l: int, seed: int) -> SplitSpec:
         for t in range(count):
             cls = t % c
             if not pools[cls]:
-                sizes = [len(p) for p in pools]
-                cls = int(np.argmax(sizes))
-                if sizes[cls] == 0:
-                    raise InputError("label pools exhausted; infeasible split")
+                cls = int(np.argmax([len(p) for p in pools]))
             picked.append(pools[cls].pop())
         return np.sort(np.asarray(picked, dtype=np.int64))
 
@@ -196,19 +192,18 @@ def _read_table(path) -> np.ndarray:
     return np.frombuffer(values).reshape(-1, width)
 
 
-def _node_indices(path, columns, n: int | None = None):
-    """Integer indices in [0, n) and n, by default the largest index + 1."""
+def _node_indices(path, columns):
+    """Integer indices in [0, n) and n, the largest index + 1."""
     fractional = np.mod(columns, 1) != 0
     if fractional.any():
         raise InputError(
             f"{path}: node index {float(columns[fractional][0])} is not an integer"
         )
     idx = columns.astype(np.int64)
-    size = int(idx.max()) + 1 if n is None else n
-    outside = (idx < 0) | (idx >= size)
-    if outside.any():
-        raise InputError(f"{path}: node index {idx[outside][0]} outside [0, {size})")
-    return idx, size
+    n = int(idx.max()) + 1
+    if idx.min() < 0:
+        raise InputError(f"{path}: node index {idx[idx < 0][0]} outside [0, {n})")
+    return idx, n
 
 
 def _validated(path, validate, table) -> np.ndarray:
@@ -304,27 +299,6 @@ def read_labels(path, n: int):
     out = np.empty(n, dtype=np.int64)
     out[idx] = remapped
     return out, dict(zip(originals.tolist(), range(len(originals))))
-
-
-def read_graph_triplets(path, n: int | None = None) -> Graph:
-    """Read a triplet edge list written by :func:`write_graph_triplets`."""
-    table = _read_table(path)
-    if table.shape[1] != 3:
-        raise InputError(f"{path}: expected 'i j w' lines, got {table.shape[1]} columns")
-    idx, size = _node_indices(path, table[:, :2], n)
-    ii, jj, w = idx[:, 0], idx[:, 1], table[:, 2]
-    loops = ii == jj
-    if loops.any():
-        raise InputError(f"{path}: self loop {ii[loops][0]}")
-    outside = ~((w > 0) & (w <= 1))
-    if outside.any():
-        raise InputError(f"{path}: weight {float(w[outside][0])} outside (0, 1]")
-    W = sp.csr_array((w, (ii, jj)), shape=(size, size))
-    W = W + W.T
-    # duplicate (i, j) or (j, i) lines would silently sum; reject them instead
-    if W.nnz != 2 * len(w):
-        raise InputError(f"{path}: duplicate edges present")
-    return Graph(W)
 
 
 def write_features(X, path):

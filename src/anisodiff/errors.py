@@ -34,3 +34,7 @@ class UnlabeledComponentError(ValueError):
             f"connected component with no labeled node: "
             f"{len(self.component_nodes)} nodes [{preview}]"
         )
+
+    def __reduce__(self):
+        # the default would pass the message back in as component_nodes
+        return type(self), (self.component_nodes,)

@@ -146,7 +146,7 @@ class MethodResult:
     selected: tuple
     mean_error: float
     sd_error: float
-    mean_seconds: float | None = None
+    mean_seconds: float
 
 
 @dataclass
@@ -186,19 +186,19 @@ _GRF_COST = 80.0
 
 
 def _slice_cost(sweep: _Sweep, method: str, K) -> float:
-    graphs = sweep.graphs
+    nnz = sweep.graphs[K].weights.nnz
     if method == "GRF":
-        return _GRF_COST * sum(graphs[int(k)].weights.nnz for k in sweep.grid.K_values)
+        return _GRF_COST * nnz
     columns = 1 if method == "I" else len(sweep.grid.sigma_f_values)
     steps = sweep.warm_start_steps + max(sweep.grid.T_values)
-    return _COLUMN_COST[method] * columns * steps * graphs[K].weights.nnz
+    return _COLUMN_COST[method] * columns * steps * nnz
 
 
 def _run_slice(sweep: _Sweep, method: str, seed: int, K):
-    """One grid slice of (method, seed): (key, selected, test error, seconds).
+    """One K's grid slice of (method, seed): (key, selected, test error, seconds).
 
-    A diffusion slice searches the grid at the single K; the GRF slice
-    covers every K.  ``key`` orders the slice's best cell as the full search
+    A diffusion slice searches the T x sigma_f cells at K; a GRF slice has
+    the one cell K.  ``key`` orders the slice's best cell as the full search
     would, so the minimum key over a (method, seed)'s slices is the cell the
     full search selects.  The test error is None when that cell diverged.
     """
@@ -208,19 +208,15 @@ def _run_slice(sweep: _Sweep, method: str, seed: int, K):
     split = split_labels(dataset, sweep.train_labels, seed)
     if method == "GRF":
         state = init_labels(zip(split.train, y[split.train]), dataset.n, dataset.c)
-        # a component without labels makes a K-cell unsolvable; it scores
+        # a component without labels makes the cell unsolvable; it scores
         # 100 rather than aborting the sweep
-        scores = []
-        for K in map(int, sweep.grid.K_values):
-            try:
-                labels = decode_labels(grf_harmonic(sweep.graphs[K], state).f)
-                err = error_rate(labels, y, split.validation)
-            except UnlabeledComponentError:
-                labels, err = None, 100.0
-            scores.append((err, K, labels))
-        err, K, labels = min(scores, key=lambda s: s[:2])
+        try:
+            labels = decode_labels(grf_harmonic(sweep.graphs[K], state).f)
+            err = error_rate(labels, y, split.validation)
+            test = error_rate(labels, y, split.test)
+        except UnlabeledComponentError:
+            err = test = 100.0
         key, selected = (err, K), f"K:{K}"
-        test = 100.0 if labels is None else error_rate(labels, y, split.test)
     else:
         variant, mode = _METHOD_SETTINGS[method]
         config, err, labels = grid_search(
@@ -336,14 +332,13 @@ def benchmark(
     validation, so nothing is rerun.  A selected diffusion cell that
     diverged raises :class:`DivergenceError`.
 
-    The search runs in slices: one per (method, seed, K) for the diffusion
-    methods and one per seed for GRF, spread over one process per usable
-    CPU (:func:`usable_cpus`), the calling one included, on the fork start
-    method; the report is the same for any number of processes.  The
-    graphs, and before a fork their structures, are built beforehand and
-    never timed.  ``mean_seconds`` is the mean over seeds of the summed
-    wall time of a seed's slices, each timed in the process that ran it;
-    timing lives outside the deterministic report fields.
+    The search runs in slices, one per (method, seed, K), spread over one
+    process per usable CPU (:func:`usable_cpus`), the calling one included,
+    on the fork start method; the report is the same for any number of
+    processes.  The graphs, and before a fork their structures, are built
+    beforehand and never timed.  ``mean_seconds`` is the mean over seeds of
+    the summed wall time of a seed's slices, each timed in the process that
+    ran it; timing lives outside the deterministic report fields.
     """
     methods = list(methods)
     if not methods:
@@ -363,18 +358,13 @@ def benchmark(
     K_values = tuple(map(int, grid.K_values))
     graphs = {K: build_knn_graph(dataset.distance_matrix, K) for K in K_values}
     sweep = _Sweep(dataset, grid, graphs, l, delta, warm_start_steps)
-    tasks = [
-        (method, seed, K)
-        for method in methods
-        for seed in seeds
-        for K in ((None,) if method == "GRF" else K_values)
-    ]
+    tasks = list(itertools.product(methods, seeds, K_values))
     results = iter(_run_slices(sweep, tasks))
     rows = []
     for method in methods:
         errors, selected, seconds = [], [], []
         for seed in seeds:
-            slices = list(itertools.islice(results, 1 if method == "GRF" else len(K_values)))
+            slices = list(itertools.islice(results, len(K_values)))
             _, choice, error, _ = min(slices, key=lambda r: r[0])
             if error is None:
                 raise DivergenceError(f"diffusion diverged at delta={delta}")
@@ -427,10 +417,10 @@ def report_table(report: BenchmarkReport, include_timing: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_kv(report: BenchmarkReport, include_timing: bool = False) -> str:
+def report_kv(report: BenchmarkReport) -> str:
     """Machine-readable key-value text, one row per method.
 
-    Timing is excluded by default so repeated runs emit identical bytes.
+    Timing is left out, so repeated runs emit identical bytes.
     """
     lines = [
         "format=anisodiff-benchmark-v1",
@@ -446,46 +436,5 @@ def report_kv(report: BenchmarkReport, include_timing: bool = False) -> str:
             f"mean_error={r.mean_error:.17g}",
             f"sd_error={r.sd_error:.17g}",
         ]
-        if include_timing:
-            parts.append(f"mean_seconds={r.mean_seconds:.17g}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
-
-
-def parse_report_kv(text: str) -> BenchmarkReport:
-    """Inverse of :func:`report_kv`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "format=anisodiff-benchmark-v1":
-        raise InputError("not a benchmark key-value report")
-    meta = {}
-    rows = []
-    for line in lines[1:]:
-        if line.startswith("method="):
-            fields = {}
-            for part in line.split(" "):
-                key, value = part.split("=", 1)
-                fields[key] = value
-            errors = tuple(float(v) for v in fields["errors"].split(","))
-            rows.append(
-                MethodResult(
-                    method=fields["method"],
-                    errors=errors,
-                    selected=tuple(fields["selected"].split("|")),
-                    mean_error=float(fields["mean_error"]),
-                    sd_error=float(fields["sd_error"]),
-                    mean_seconds=(
-                        float(fields["mean_seconds"])
-                        if "mean_seconds" in fields
-                        else None
-                    ),
-                )
-            )
-        else:
-            key, value = line.split("=", 1)
-            meta[key] = value
-    return BenchmarkReport(
-        dataset=meta["dataset"],
-        seeds=tuple(int(s) for s in meta["seeds"].split(",")),
-        train_labels=int(meta["train_labels"]),
-        rows=tuple(rows),
-    )

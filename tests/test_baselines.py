@@ -1,10 +1,19 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from anisodiff.baselines import grf_harmonic
 from anisodiff.diffusion import decode_labels, init_labels
-from anisodiff.errors import UnlabeledComponentError
+from anisodiff.errors import (
+    DegenerateDataError,
+    DivergenceError,
+    InputError,
+    ParameterError,
+    ShapeError,
+    UnlabeledComponentError,
+)
 from anisodiff.graph import Graph
 
 from oracles import harmonic_bruteforce, random_knn_graph
@@ -123,6 +132,24 @@ class TestGrfHarmonic:
         with pytest.raises(UnlabeledComponentError) as exc:
             grf_harmonic(g, state)
         assert exc.value.component_nodes == [2, 3, 4]
+
+    def test_unlabeled_component_error_survives_pickling(self):
+        # an exception crosses a process boundary pickled
+        error = UnlabeledComponentError(range(56))
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is UnlabeledComponentError
+        assert copy.component_nodes == list(range(56))
+        assert str(copy) == str(error)
+
+    @pytest.mark.parametrize(
+        "error_type",
+        [ParameterError, DegenerateDataError, ShapeError, InputError, DivergenceError],
+    )
+    def test_library_errors_survive_pickling(self, error_type):
+        error = error_type("K=3 does not match the graph's K=5")
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is error_type
+        assert str(copy) == str(error)
 
     def test_decode_on_separated_clusters(self):
         from anisodiff.data import gaussian_blobs

@@ -106,6 +106,25 @@ class TestSplitLabels:
         assert np.bincount(ds.labels[split.train]).tolist() == [2, 2]
         assert np.bincount(ds.labels[split.validation]).tolist() == [2, 2]
 
+    @pytest.mark.parametrize(
+        "sizes, l",
+        [((1, 9), 2), ((1, 1, 8), 3), ((1, 1, 1, 5), 4), ((1, 2, 3), 3), ((5, 5), 5)],
+    )
+    def test_small_classes_at_the_limits(self, sizes, l):
+        # l = c or 2l = n: some class pools run dry, and the draw still
+        # fills both sets from the larger ones
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        ds = Dataset("limits", labels, features=np.zeros((len(labels), 1)))
+        for seed in range(4):
+            split = split_labels(ds, l, seed=seed)
+            assert len(split.train) == len(split.validation) == l
+            assert len(np.unique(np.concatenate([split.train, split.validation]))) == 2 * l
+            assert np.array_equal(
+                np.sort(np.concatenate([split.train, split.validation, split.test])),
+                np.arange(ds.n),
+            )
+            assert set(labels[split.train].tolist()) == set(range(len(sizes)))
+
     def test_infeasible_raises(self):
         ds = two_moons(100, 0.1, seed=0)
         with pytest.raises(ParameterError):
@@ -224,6 +243,28 @@ class TestFileFormats:
         path = tmp_path / "trip.txt"
         path.write_text("0 1 1.0\n0 2 1.0\n1 2 1.0\n2 2 0.5\n")
         with pytest.raises(InputError, match=r"trip\.txt.*self distance at 2"):
+            read_distances(path)
+
+    @pytest.mark.parametrize(
+        "text, pattern",
+        [
+            ("0 1 0.5\n1.5 2 0.5\n", r"trip\.txt.*node index 1\.5 is not an integer"),
+            ("0 1 0.5\n-1 2 0.5\n", r"trip\.txt.*node index -1 outside \[0, 3\)"),
+            ("0 1 -0.25\n", r"trip\.txt.*negative entries"),
+            ("0 1 inf\n", r"trip\.txt.*non-finite entries"),
+            ("0 0 0\n", r"trip\.txt.*at least 2 points"),
+            ("0 1 0.5 9\n", r"trip\.txt.*'i j dist' triplets, got shape \(1, 4\)"),
+            ("0 1\n1 2\n", r"trip\.txt.*'i j dist' triplets, got shape \(2, 2\)"),
+            ("0 1 abc\n", r"trip\.txt:1: .*abc"),
+            ("0 1 0.5\n1 2\n", r"trip\.txt:2: expected 3 columns, got 2"),
+            ("", r"trip\.txt: no data rows"),
+            ("# a comment\n\n", r"trip\.txt: no data rows"),
+        ],
+    )
+    def test_triplet_rejections(self, tmp_path, text, pattern):
+        path = tmp_path / "trip.txt"
+        path.write_text(text)
+        with pytest.raises(InputError, match=pattern):
             read_distances(path)
 
     def test_triplet_one_sided_pair_mirrored(self, tmp_path):

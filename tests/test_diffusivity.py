@@ -16,7 +16,7 @@ from anisodiff.diffusivity import (
     _min_cross_sqdist,
 )
 from anisodiff.errors import ParameterError, ShapeError
-from anisodiff.graph import build_knn_graph, pairwise_distances
+from anisodiff.graph import Graph, build_knn_graph, pairwise_distances
 from anisodiff.laplacian import regularizer_energy
 
 from conftest import triangle_graph
@@ -338,14 +338,10 @@ class TestLocalMatchWeights:
         assert (wd.wD > 0).all()
         assert np.array_equal(wd.wD[g.mirror], wd.wD)
 
-    def test_requires_knn_graph(self, tmp_path):
-        from anisodiff.data import read_graph_triplets, write_graph_triplets
-
+    def test_requires_knn_graph(self):
         rng = np.random.default_rng(20)
         _, g = random_knn_graph(rng, 20, 3)
-        path = tmp_path / "g.txt"
-        write_graph_triplets(g, path)
-        bare = read_graph_triplets(path, n=20)
+        bare = Graph(g.weights)
         f = rng.normal(size=(20, 2))
         q = gaussian_diffusivity(bare, f, 0.5)
         with pytest.raises(ParameterError):
