@@ -55,8 +55,8 @@ def main():
 
             write_energy_trace(result.energies, args.trace)
 
-    sol = ad.grf_harmonic(graph, state)
-    err = ad.error_rate(ad.decode_labels(sol.f), ds.labels, eval_idx)
+    f = ad.grf_harmonic(graph, state)
+    err = ad.error_rate(ad.decode_labels(f), ds.labels, eval_idx)
     print(f"{'harmonic (GRF)':16s} error {err:6.2f}%")
 
 

@@ -1,6 +1,6 @@
 """Anisotropic diffusion on weighted graphs for semi-supervised label propagation."""
 
-from .baselines import HarmonicSolution, grf_harmonic
+from .baselines import grf_harmonic
 from .data import (
     Dataset,
     SplitSpec,

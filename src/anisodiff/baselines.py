@@ -8,8 +8,6 @@ contains at least one labeled node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -19,15 +17,12 @@ from .errors import ShapeError, UnlabeledComponentError
 from .graph import Graph
 
 
-@dataclass
-class HarmonicSolution:
-    """n x c values: the state's labeled rows passed through, the rest harmonic."""
+def grf_harmonic(graph: Graph, state: LabelState) -> np.ndarray:
+    """Harmonic interpolation of the labeled one-hot rows over the graph.
 
-    f: np.ndarray
-
-
-def grf_harmonic(graph: Graph, state: LabelState) -> HarmonicSolution:
-    """Harmonic interpolation of the labeled one-hot rows over the graph."""
+    Returns the n x c values: the state's labeled rows passed through, the
+    rest harmonic.
+    """
     f = np.asarray(state.f, dtype=np.float64)
     mask = np.asarray(state.labeled_mask, dtype=bool)
     if f.shape[0] != graph.n or mask.shape != (graph.n,):
@@ -35,7 +30,7 @@ def grf_harmonic(graph: Graph, state: LabelState) -> HarmonicSolution:
             f"label state shape {f.shape} does not match graph n={graph.n}"
         )
     if mask.all():
-        return HarmonicSolution(f.copy())
+        return f.copy()
 
     # the lowest-id component with no labeled node makes the system singular
     comp = graph.components
@@ -52,4 +47,4 @@ def grf_harmonic(graph: Graph, state: LabelState) -> HarmonicSolution:
 
     out = f.copy()
     out[u] = fu
-    return HarmonicSolution(out)
+    return out

@@ -271,8 +271,8 @@ def cmd_propagate(parser, args) -> int:
 
 def cmd_grf(parser, args) -> int:
     D, idx, state, truth = _labeled_inputs(parser, args)
-    sol = grf_harmonic(build_knn_graph(D, args.K), state)
-    _write_predictions(args, sol.f, idx, truth)
+    f = grf_harmonic(build_knn_graph(D, args.K), state)
+    _write_predictions(args, f, idx, truth)
     return 0
 
 

@@ -42,6 +42,10 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features is None and self.distances is None:
             raise ParameterError("dataset needs features or distances")
+        if self.features is not None:
+            self.features = np.asarray(self.features, dtype=np.float64)
+        if self.distances is not None:
+            self.distances = np.asarray(self.distances, dtype=np.float64)
         n = len(self.labels)
         src = self.features if self.features is not None else self.distances
         if src.shape[0] != n:

@@ -25,15 +25,22 @@ from .diffusivity import _check_sigma_f
 from .errors import DivergenceError, InputError, ParameterError, UnlabeledComponentError
 from .graph import build_knn_graph
 
-_METHOD_SETTINGS = {
-    "I": ("isotropic", "linear"),
-    "A_lin": ("plain", "linear"),
-    "A_nlin": ("plain", "nonlinear"),
-    "A_S": ("smooth", "nonlinear"),
-    "A_LM": ("local_match", "nonlinear"),
+# method -> (variant, mode, cost factor).  The factor is the relative cost of
+# one sigma_f column per stored graph entry and step, and for GRF of its
+# sparse solve per stored entry.  Slice times on two-moons n=600 (default
+# grid, one seed), as multiples of I's at the same K (K = 5, 10, 20): A_lin
+# 0.96-1.03, A_nlin 2.4-3.4, A_S 4.3-9.7, A_LM 10-37, and GRF 37-84 per
+# entry.  The shares only need the slices' costs roughly right.
+_METHODS = {
+    "I": ("isotropic", "linear", 1.0),
+    "A_lin": ("plain", "linear", 1.0),
+    "A_nlin": ("plain", "nonlinear", 3.0),
+    "A_S": ("smooth", "nonlinear", 8.0),
+    "A_LM": ("local_match", "nonlinear", 30.0),
+    "GRF": (None, None, 80.0),
 }
 
-METHODS = tuple(_METHOD_SETTINGS) + ("GRF",)
+METHODS = tuple(_METHODS)
 
 
 @dataclass(frozen=True)
@@ -176,22 +183,12 @@ class _Sweep:
     warm_start_steps: int
 
 
-# relative cost of one sigma_f column per stored graph entry and step, and of
-# GRF's sparse solve per stored entry.  Slice times on two-moons n=600 (default
-# grid, one seed), as multiples of I's at the same K (K = 5, 10, 20): A_lin
-# 0.96-1.03, A_nlin 2.4-3.4, A_S 4.3-9.7, A_LM 10-37, and GRF 37-84 per entry.
-# The shares only need the slices' costs roughly right.
-_COLUMN_COST = {"I": 1.0, "A_lin": 1.0, "A_nlin": 3.0, "A_S": 8.0, "A_LM": 30.0}
-_GRF_COST = 80.0
-
-
 def _slice_cost(sweep: _Sweep, method: str, K) -> float:
-    nnz = sweep.graphs[K].weights.nnz
+    cost = _METHODS[method][2] * sweep.graphs[K].weights.nnz
     if method == "GRF":
-        return _GRF_COST * nnz
+        return cost
     columns = 1 if method == "I" else len(sweep.grid.sigma_f_values)
-    steps = sweep.warm_start_steps + max(sweep.grid.T_values)
-    return _COLUMN_COST[method] * columns * steps * nnz
+    return cost * columns * (sweep.warm_start_steps + max(sweep.grid.T_values))
 
 
 def _run_slice(sweep: _Sweep, method: str, seed: int, K):
@@ -211,14 +208,14 @@ def _run_slice(sweep: _Sweep, method: str, seed: int, K):
         # a component without labels makes the cell unsolvable; it scores
         # 100 rather than aborting the sweep
         try:
-            labels = decode_labels(grf_harmonic(sweep.graphs[K], state).f)
+            labels = decode_labels(grf_harmonic(sweep.graphs[K], state))
             err = error_rate(labels, y, split.validation)
             test = error_rate(labels, y, split.test)
         except UnlabeledComponentError:
             err = test = 100.0
         key, selected = (err, K), f"K:{K}"
     else:
-        variant, mode = _METHOD_SETTINGS[method]
+        variant, mode, _ = _METHODS[method]
         config, err, labels = grid_search(
             replace(sweep.grid, K_values=(K,), variant=variant, mode=mode),
             dataset,
@@ -263,25 +260,16 @@ def _shares(costs, processes: int) -> list:
     return shares
 
 
-def _build_structures(graphs: dict, methods) -> None:
-    """Build the graphs' lazy structures that the methods' slices read."""
-    for graph in graphs.values():
-        if set(methods) - {"GRF"}:
-            graph.upper, graph.undirected_edges, graph.edge_weights, graph.mirror
-        if "A_S" in methods:
-            graph.mutual_structure
-        if "A_LM" in methods:
-            graph.match_structure, graph.cross_pairs
-
-
 def _run_slices(sweep: _Sweep, tasks) -> list:
     """Every task's :func:`_run_slice` result, in task order.
 
     One process per usable CPU, up to one per task: the calling process runs
     share 0 and forks a child per further share, and every child is joined
-    before this returns or raises.  Everything runs here when one process is
-    enough, when the fork start method is unavailable, or in a daemonic
-    process, which may not have children.
+    before this returns or raises.  The graphs are built beforehand; their
+    cached structures are built in whichever process first reads them.
+    Everything runs here when one process is enough, when the fork start
+    method is unavailable, or in a daemonic process, which may not have
+    children.
     """
     # imported here, so the package's import does not load them
     import multiprocessing
@@ -294,8 +282,6 @@ def _run_slices(sweep: _Sweep, tasks) -> list:
         or multiprocessing.current_process().daemon
     ):
         return [_run_slice(sweep, *task) for task in tasks]
-    # built before the fork, so no child builds its own copy
-    _build_structures(sweep.graphs, {method for method, _, _ in tasks})
     costs = [_slice_cost(sweep, method, K) for method, _, K in tasks]
     own, *others = _shares(costs, processes)
     with ProcessPoolExecutor(
@@ -335,10 +321,12 @@ def benchmark(
     The search runs in slices, one per (method, seed, K), spread over one
     process per usable CPU (:func:`usable_cpus`), the calling one included,
     on the fork start method; the report is the same for any number of
-    processes.  The graphs, and before a fork their structures, are built
-    beforehand and never timed.  ``mean_seconds`` is the mean over seeds of
-    the summed wall time of a seed's slices, each timed in the process that
-    ran it; timing lives outside the deterministic report fields.
+    processes.  The graphs are built beforehand and never timed; each
+    process builds a graph's cached structures the first time one of its
+    slices reads them.  ``mean_seconds`` is the mean over seeds of the summed
+    wall time of a seed's slices, each timed in the process that ran it, so
+    a slice's time includes the structures it is the first to read; timing
+    lives outside the deterministic report fields.
     """
     methods = list(methods)
     if not methods:

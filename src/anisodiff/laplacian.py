@@ -58,16 +58,17 @@ class LaplacianOperator:
         f = _check_f(self.graph, f)
         return (self._rowsum[:, None] * f - self._WD @ f) / self.graph.degrees[:, None]
 
-    def step(self, f: np.ndarray, delta: float) -> np.ndarray:
+    def step(self, f, delta: float) -> np.ndarray:
         """One explicit Euler step f - delta * L f; returns an (n, c) array.
 
-        A 1-D f of length n is taken as (n, 1), as :meth:`__call__` takes it.
+        ``f`` is anything :meth:`__call__` accepts; a 1-D f of length n is
+        taken as (n, 1).
         """
         if not delta > 0:
             raise ParameterError(f"delta must be positive, got {delta}")
         with np.errstate(over="ignore", invalid="ignore"):
             Lf = self(f)
-            out = f.reshape(Lf.shape) - delta * Lf
+            out = np.asarray(f, dtype=np.float64).reshape(Lf.shape) - delta * Lf
         if not np.isfinite(out).all():
             raise DivergenceError(f"diffusion diverged at delta={delta}")
         return out

@@ -328,7 +328,7 @@ def benchmark_rerun_errors(dataset, report, *, delta=1.0, warm_start_steps=20):
             graph = build_knn_graph(dataset.distance_matrix, int(params["K"]))
             if row.method == "GRF":
                 try:
-                    f = grf_harmonic(graph, state).f
+                    f = grf_harmonic(graph, state)
                 except UnlabeledComponentError:
                     errors.append(100.0)
                     continue

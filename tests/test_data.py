@@ -320,3 +320,17 @@ class TestDatasetInvariants:
     def test_needs_source(self):
         with pytest.raises(ParameterError):
             Dataset("empty", np.array([0, 1]))
+
+    def test_array_likes_become_float_arrays(self):
+        features = [[0, 1], [1, 0], [0.5, 0.5]]
+        ds = Dataset("x", [0, 1, 0], features=features)
+        assert ds.features.dtype == np.float64
+        assert np.array_equal(ds.features, np.array(features, dtype=np.float64))
+        D = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        ds = Dataset("d", [0, 1, 0], distances=D)
+        assert ds.distance_matrix.dtype == np.float64
+        assert np.array_equal(ds.distance_matrix, np.array(D, dtype=np.float64))
+
+    def test_float_arrays_are_not_copied(self):
+        X = np.zeros((3, 2))
+        assert Dataset("x", [0, 1, 0], features=X).features is X

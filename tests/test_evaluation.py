@@ -324,7 +324,7 @@ class TestGrfSlice:
         key, selected, test, seconds = evaluation._run_slice(sweep, "GRF", 0, 3)
         ds, split = sweep.dataset, split_labels(sweep.dataset, 2, seed=0)
         state = init_labels(zip(split.train, ds.labels[split.train]), ds.n, ds.c)
-        labels = decode_labels(grf_harmonic(sweep.graphs[3], state).f)
+        labels = decode_labels(grf_harmonic(sweep.graphs[3], state))
         assert key == (error_rate(labels, ds.labels, split.validation), 3)
         assert selected == "K:3"
         assert test == error_rate(labels, ds.labels, split.test)
@@ -339,7 +339,7 @@ class TestGrfSlice:
         for K in (3, 7):
             cost = evaluation._slice_cost(sweep, "GRF", K)
             assert cost == evaluation._slice_cost(wide, "GRF", K)
-            assert cost == evaluation._GRF_COST * sweep.graphs[K].weights.nnz
+            assert cost == evaluation._METHODS["GRF"][2] * sweep.graphs[K].weights.nnz
         assert evaluation._slice_cost(wide, "A_lin", 3) > evaluation._slice_cost(sweep, "A_lin", 3)
 
 
@@ -380,7 +380,7 @@ class TestParallelBenchmark:
                 if row.method == "GRF":
                     state = init_labels(zip(split.train, y[split.train]), noisy.n, noisy.c)
                     _, K = min(
-                        (error_rate(decode_labels(grf_harmonic(g, state).f), y, split.validation), K)
+                        (error_rate(decode_labels(grf_harmonic(g, state)), y, split.validation), K)
                         for K, g in graphs.items()
                     )
                     assert cell == f"K:{K}"

@@ -144,6 +144,15 @@ def test_step_rejects_nonpositive_delta(triangle, delta):
         LaplacianOperator(triangle).step(np.ones((3, 1)), delta)
 
 
+def test_step_accepts_what_call_accepts(triangle):
+    # a list or an int array steps like the float array __call__ makes of it
+    op = LaplacianOperator(triangle)
+    f = np.array([[1.0], [0.0], [0.0]])
+    for given in ([1.0, 0.0, 0.0], [[1], [0], [0]], np.array([1, 0, 0])):
+        assert np.array_equal(op.step(given, 0.5), op.step(f, 0.5))
+    assert np.array_equal(op.step(f, 0.5), f - 0.5 * op(f))
+
+
 def test_operator_reuse_matches_function():
     rng = np.random.default_rng(36)
     _, g = random_knn_graph(rng, 25, 3)
