@@ -219,25 +219,32 @@ def cmd_build_graph(parser, args) -> int:
 
 
 def _labeled_inputs(parser, args):
-    """(D, labeled indices, label state, ground truth or None) of a run."""
+    """(D, labeled indices, label state, ground truth or None, class ids) of a run.
+
+    With ``--truth`` the labeled subset's classes are remapped as the
+    truth's are; ``class_ids[k]`` is the file's id of remapped class k.
+    """
     D = _load_distances(parser, args)
     n = D.shape[0]
     _require_file(parser, args.labels, "labels")
     _require_file(parser, args.truth, "truth")
     idx, cls = datamod.read_label_pairs(args.labels)
     truth = None
+    class_ids = np.arange(cls.max() + 1)
     if args.truth:
         truth, mapping = datamod.read_labels(args.truth, n)
         _report_mapping(mapping)
-        c = int(truth.max()) + 1
-    else:
-        c = int(cls.max()) + 1
-    return D, idx, init_labels(zip(idx, cls), n, c), truth
+        class_ids = np.array(list(mapping))
+        unknown = cls[~np.isin(cls, class_ids)]
+        if unknown.size:
+            raise InputError(f"{args.labels}: class {unknown[0]} is not a class of {args.truth}")
+        cls = np.searchsorted(class_ids, cls)
+    return D, idx, init_labels(zip(idx, cls), n, len(class_ids)), truth, class_ids
 
 
-def _write_predictions(args, f, idx, truth):
+def _write_predictions(args, f, idx, truth, class_ids):
     pred = decode_labels(f)
-    datamod.write_labels(pred, args.out)
+    datamod.write_labels(class_ids[pred], args.out)
     if truth is not None:
         eval_idx = np.setdiff1d(np.arange(len(pred)), idx)
         err = evaluation.error_rate(pred, truth, eval_idx)
@@ -260,19 +267,19 @@ def _config_from_args(parser, args):
 
 
 def cmd_propagate(parser, args) -> int:
-    D, idx, state, truth = _labeled_inputs(parser, args)
+    D, idx, state, truth, class_ids = _labeled_inputs(parser, args)
     config = _config_from_args(parser, args)
     result = run_diffusion(config, build_knn_graph(D, config.K), state)
     if args.trace:
         write_energy_trace(result.energies, args.trace)
-    _write_predictions(args, result.f, idx, truth)
+    _write_predictions(args, result.f, idx, truth, class_ids)
     return 0
 
 
 def cmd_grf(parser, args) -> int:
-    D, idx, state, truth = _labeled_inputs(parser, args)
+    D, idx, state, truth, class_ids = _labeled_inputs(parser, args)
     f = grf_harmonic(build_knn_graph(D, args.K), state)
-    _write_predictions(args, f, idx, truth)
+    _write_predictions(args, f, idx, truth, class_ids)
     return 0
 
 

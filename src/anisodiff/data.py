@@ -39,7 +39,11 @@ class Dataset:
     distances: np.ndarray | None = None
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        # a cast would truncate a fractional label into a class it never had
+        if (np.mod(labels, 1) != 0).any():
+            raise InputError(f"labels of dataset {self.name!r} must be whole numbers")
+        self.labels = labels.astype(np.int64)
         if self.features is None and self.distances is None:
             raise ParameterError("dataset needs features or distances")
         if self.features is not None:

@@ -8,6 +8,8 @@ it is recomputed from the kNN distances for each K.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import numbers
 import os
@@ -171,27 +173,15 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
-class _Sweep:
-    """What every grid slice of one benchmark reads."""
-
-    dataset: Dataset
-    grid: GridSpec
-    graphs: dict
-    train_labels: int
-    delta: float
-    warm_start_steps: int
-
-
-def _slice_cost(sweep: _Sweep, method: str, K) -> float:
-    cost = _METHODS[method][2] * sweep.graphs[K].weights.nnz
+def _slice_cost(grid: GridSpec, graph, warm_start_steps: int, method: str) -> float:
+    cost = _METHODS[method][2] * graph.weights.nnz
     if method == "GRF":
         return cost
-    columns = 1 if method == "I" else len(sweep.grid.sigma_f_values)
-    return cost * columns * (sweep.warm_start_steps + max(sweep.grid.T_values))
+    columns = 1 if method == "I" else len(grid.sigma_f_values)
+    return cost * columns * (warm_start_steps + max(grid.T_values))
 
 
-def _run_slice(sweep: _Sweep, method: str, seed: int, K):
+def _run_slice(dataset, grid, graphs, train_labels, delta, warm_start_steps, method, seed, K):
     """One K's grid slice of (method, seed): (key, selected, test error, seconds).
 
     A diffusion slice searches the T x sigma_f cells at K; a GRF slice has
@@ -200,15 +190,14 @@ def _run_slice(sweep: _Sweep, method: str, seed: int, K):
     full search selects.  The test error is None when that cell diverged.
     """
     t0 = time.perf_counter()
-    dataset = sweep.dataset
     y = dataset.labels
-    split = split_labels(dataset, sweep.train_labels, seed)
+    split = split_labels(dataset, train_labels, seed)
     if method == "GRF":
         state = init_labels(zip(split.train, y[split.train]), dataset.n, dataset.c)
         # a component without labels makes the cell unsolvable; it scores
         # 100 rather than aborting the sweep
         try:
-            labels = decode_labels(grf_harmonic(sweep.graphs[K], state))
+            labels = decode_labels(grf_harmonic(graphs[K], state))
             err = error_rate(labels, y, split.validation)
             test = error_rate(labels, y, split.test)
         except UnlabeledComponentError:
@@ -217,12 +206,12 @@ def _run_slice(sweep: _Sweep, method: str, seed: int, K):
     else:
         variant, mode, _ = _METHODS[method]
         config, err, labels = grid_search(
-            replace(sweep.grid, K_values=(K,), variant=variant, mode=mode),
+            replace(grid, K_values=(K,), variant=variant, mode=mode),
             dataset,
             split,
-            delta=sweep.delta,
-            warm_start_steps=sweep.warm_start_steps,
-            graph_cache=sweep.graphs,
+            delta=delta,
+            warm_start_steps=warm_start_steps,
+            graph_cache=graphs,
         )
         key = (err, config.T, config.K, config.sigma_f)
         selected = f"K:{config.K};T:{config.T};sigma_f:{config.sigma_f:.17g}"
@@ -230,19 +219,14 @@ def _run_slice(sweep: _Sweep, method: str, seed: int, K):
     return key, selected, test, time.perf_counter() - t0
 
 
-# the sweep a forked child reads, set by the pool's initializer in the child
-# only: the fork shares the graphs copy-on-write, never pickled, and threads
-# of the calling process that run benchmarks of their own never see it
-_forked_sweep = None
+# a forked child's slice function, put here by the pool's initializer in the
+# child only: the fork shares the graphs copy-on-write, never pickled, and
+# threads of the calling process that run benchmarks of their own never see it
+_forked = {}
 
 
-def _set_forked_sweep(sweep: _Sweep) -> None:
-    global _forked_sweep
-    _forked_sweep = sweep
-
-
-def _run_forked(tasks) -> list:
-    return [_run_slice(_forked_sweep, *task) for task in tasks]
+def _run_forked(share) -> dict:
+    return {task: _forked["run"](*task) for task in share}
 
 
 def _shares(costs, processes: int) -> list:
@@ -260,16 +244,14 @@ def _shares(costs, processes: int) -> list:
     return shares
 
 
-def _run_slices(sweep: _Sweep, tasks) -> list:
-    """Every task's :func:`_run_slice` result, in task order.
+def _run_slices(run, tasks, costs) -> dict:
+    """``{task: run(*task)}`` for every task, in :func:`_shares` of ``costs``.
 
     One process per usable CPU, up to one per task: the calling process runs
     share 0 and forks a child per further share, and every child is joined
-    before this returns or raises.  The graphs are built beforehand; their
-    cached structures are built in whichever process first reads them.
-    Everything runs here when one process is enough, when the fork start
-    method is unavailable, or in a daemonic process, which may not have
-    children.
+    before this returns or raises.  Without the fork start method, or in a
+    daemonic process, which may not have children, the one share is the
+    calling process's own.
     """
     # imported here, so the package's import does not load them
     import multiprocessing
@@ -277,26 +259,24 @@ def _run_slices(sweep: _Sweep, tasks) -> list:
 
     processes = min(usable_cpus(), len(tasks))
     if (
-        processes == 1
-        or "fork" not in multiprocessing.get_all_start_methods()
+        "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
     ):
-        return [_run_slice(sweep, *task) for task in tasks]
-    costs = [_slice_cost(sweep, method, K) for method, _, K in tasks]
-    own, *others = _shares(costs, processes)
-    with ProcessPoolExecutor(
-        len(others),
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_set_forked_sweep,
-        initargs=(sweep,),
-    ) as pool:
-        futures = [pool.submit(_run_forked, [tasks[i] for i in share]) for share in others]
-        done = [(own, [_run_slice(sweep, *tasks[i]) for i in own])]
-        done += [(share, future.result()) for share, future in zip(others, futures)]
-    results = [None] * len(tasks)
-    for share, out in done:
-        for i, result in zip(share, out):
-            results[i] = result
+        processes = 1
+    own, *others = ([tasks[i] for i in share] for share in _shares(costs, processes))
+    pool = contextlib.nullcontext()
+    if others:
+        pool = ProcessPoolExecutor(
+            len(others),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_forked.update,
+            initargs=({"run": run},),
+        )
+    with pool:
+        futures = [pool.submit(_run_forked, share) for share in others]
+        results = {task: run(*task) for task in own}
+        for future in futures:
+            results.update(future.result())
     return results
 
 
@@ -320,13 +300,14 @@ def benchmark(
 
     The search runs in slices, one per (method, seed, K), spread over one
     process per usable CPU (:func:`usable_cpus`), the calling one included,
-    on the fork start method; the report is the same for any number of
-    processes.  The graphs are built beforehand and never timed; each
-    process builds a graph's cached structures the first time one of its
-    slices reads them.  ``mean_seconds`` is the mean over seeds of the summed
-    wall time of a seed's slices, each timed in the process that ran it, so
-    a slice's time includes the structures it is the first to read; timing
-    lives outside the deterministic report fields.
+    on the fork start method, costliest slice first in every process; the
+    report is the same for any number of processes.  The graphs are built
+    beforehand and never timed; each process builds a graph's cached
+    structures the first time one of its slices reads them.  ``mean_seconds``
+    is the mean over seeds of the summed wall time of a seed's slices, each
+    timed in the process that ran it, so a slice's time includes the
+    structures it is the first to read; timing lives outside the
+    deterministic report fields.
     """
     methods = list(methods)
     if not methods:
@@ -345,14 +326,16 @@ def benchmark(
     DiffusionConfig(delta=delta, warm_start_steps=warm_start_steps)
     K_values = tuple(map(int, grid.K_values))
     graphs = {K: build_knn_graph(dataset.distance_matrix, K) for K in K_values}
-    sweep = _Sweep(dataset, grid, graphs, l, delta, warm_start_steps)
-    tasks = list(itertools.product(methods, seeds, K_values))
-    results = iter(_run_slices(sweep, tasks))
+    run = functools.partial(_run_slice, dataset, grid, graphs, l, delta, warm_start_steps)
+    # a repeated method or seed reads the one run of its slices
+    tasks = list(dict.fromkeys(itertools.product(methods, seeds, K_values)))
+    costs = [_slice_cost(grid, graphs[K], warm_start_steps, method) for method, _, K in tasks]
+    results = _run_slices(run, tasks, costs)
     rows = []
     for method in methods:
         errors, selected, seconds = [], [], []
         for seed in seeds:
-            slices = list(itertools.islice(results, len(K_values)))
+            slices = [results[method, seed, K] for K in K_values]
             _, choice, error, _ = min(slices, key=lambda r: r[0])
             if error is None:
                 raise DivergenceError(f"diffusion diverged at delta={delta}")

@@ -262,18 +262,49 @@ class TestLabeledInputs:
         assert not (tmp_path / "p.txt").exists()
 
     @pytest.mark.parametrize("command", ["propagate", "grf"])
-    def test_labeled_class_beyond_truth_runtime_error(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "shift, labeled, missing",
+        [(0, "0 0\n79 7\n", 7), (1, "0 0\n79 1\n", 0)],
+        ids=["beyond_range", "below_shifted_truth"],
+    )
+    def test_labeled_class_the_truth_lacks_runtime_error(
+        self, tmp_path, capsys, command, shift, labeled, missing
+    ):
         out = synth_moons(tmp_path)
-        train = tmp_path / "train.txt"
-        train.write_text("0 0\n79 7\n")
+        _, cls = read_label_pairs(out / "labels.txt")
+        truth, train = tmp_path / "truth.txt", tmp_path / "train.txt"
+        write_labels(cls + shift, truth)
+        train.write_text(labeled)
         code = run_cli(
             [command, "--features", out / "features.txt", "--labels", train,
-             "--truth", out / "labels.txt", "--K", 5, "--out", tmp_path / "p.txt"]
+             "--truth", truth, "--K", 5, "--out", tmp_path / "p.txt"]
         )
         assert code == 1
-        err = capsys.readouterr().err
-        assert "class 7 outside [0, 2)" in err
+        assert f"{train}: class {missing} is not a class of {truth}" in capsys.readouterr().err
         assert not (tmp_path / "p.txt").exists()
+
+    @pytest.mark.parametrize("command", ["propagate", "grf"])
+    @pytest.mark.parametrize("labeled", [[0, 1, 79, 78], [0, 1]], ids=["both", "first_only"])
+    def test_labeled_classes_remapped_as_the_truth(self, tmp_path, capsys, command, labeled):
+        # truth classes {1, 2} give the {0, 1} run, with predictions in the file's ids
+        out = synth_moons(tmp_path)
+        _, cls = read_label_pairs(out / "labels.txt")
+        runs = []
+        for shift in (0, 1):
+            truth, train = tmp_path / f"truth{shift}.txt", tmp_path / f"train{shift}.txt"
+            write_labels(cls + shift, truth)
+            write_labels(cls + shift, train, indices=np.array(labeled))
+            pred = tmp_path / f"pred{shift}.txt"
+            code = run_cli(
+                [command, "--features", out / "features.txt", "--labels", train,
+                 "--truth", truth, "--K", 5, "--out", pred]
+            )
+            assert code == 0
+            stdout = capsys.readouterr().out
+            runs.append((stdout.splitlines()[-1], read_label_pairs(pred)[1]))
+        (error, pred), (shifted_error, shifted_pred) = runs
+        assert error.startswith("test_error=") and shifted_error == error
+        assert np.array_equal(shifted_pred, pred + 1)
 
 
 class TestBenchmark:

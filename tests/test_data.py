@@ -334,3 +334,13 @@ class TestDatasetInvariants:
     def test_float_arrays_are_not_copied(self):
         X = np.zeros((3, 2))
         assert Dataset("x", [0, 1, 0], features=X).features is X
+
+    @pytest.mark.parametrize("labels", [[0, 1.7, 0.2], [0, 1, 1.5], [0, np.nan, 1]])
+    def test_fractional_labels_rejected(self, labels):
+        # a cast would read [0, 1.7, 0.2] as classes [0, 1, 0]
+        with pytest.raises(InputError, match="labels of dataset 'x' must be whole numbers"):
+            Dataset("x", labels, features=np.zeros((3, 2)))
+
+    def test_whole_float_labels_accepted(self):
+        ds = Dataset("x", np.array([0.0, 1.0, 1.0]), features=np.zeros((3, 2)))
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 1]

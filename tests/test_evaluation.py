@@ -305,7 +305,7 @@ class TestGrfSlice:
     """A GRF slice scores the one K it is given."""
 
     @pytest.fixture(scope="class")
-    def sweep(self):
+    def inputs(self):
         ds = two_moons(20, 0.1, seed=0)
         g = build_knn_graph(ds.distance_matrix, 3)
         # the same graph with one test node cut off: a component without labels
@@ -314,33 +314,39 @@ class TestGrfSlice:
         cut = sp.diags_array(keep) @ g.weights @ sp.diags_array(keep)
         cut.eliminate_zeros()
         with pytest.warns(UserWarning, match="isolated"):
-            graphs = {3: g, 7: Graph(sp.csr_array(cut))}
+            return ds, {3: g, 7: Graph(sp.csr_array(cut))}
+
+    @staticmethod
+    def run_slice(inputs, K):
+        ds, graphs = inputs
         config = DiffusionConfig()
-        return evaluation._Sweep(
-            ds, GridSpec(), graphs, 2, config.delta, config.warm_start_steps
+        return evaluation._run_slice(
+            ds, GridSpec(), graphs, 2, config.delta, config.warm_start_steps, "GRF", 0, K
         )
 
-    def test_key_is_validation_error_and_K(self, sweep):
-        key, selected, test, seconds = evaluation._run_slice(sweep, "GRF", 0, 3)
-        ds, split = sweep.dataset, split_labels(sweep.dataset, 2, seed=0)
+    def test_key_is_validation_error_and_K(self, inputs):
+        key, selected, test, seconds = self.run_slice(inputs, 3)
+        (ds, graphs), split = inputs, split_labels(inputs[0], 2, seed=0)
         state = init_labels(zip(split.train, ds.labels[split.train]), ds.n, ds.c)
-        labels = decode_labels(grf_harmonic(sweep.graphs[3], state))
+        labels = decode_labels(grf_harmonic(graphs[3], state))
         assert key == (error_rate(labels, ds.labels, split.validation), 3)
         assert selected == "K:3"
         assert test == error_rate(labels, ds.labels, split.test)
         assert seconds > 0
 
-    def test_unlabeled_component_scores_100(self, sweep):
-        key, selected, test, _ = evaluation._run_slice(sweep, "GRF", 0, 7)
+    def test_unlabeled_component_scores_100(self, inputs):
+        key, selected, test, _ = self.run_slice(inputs, 7)
         assert key == (100.0, 7) and selected == "K:7" and test == 100.0
 
-    def test_cost_grows_with_the_graph_not_the_grid(self, sweep):
-        wide = replace(sweep, grid=GridSpec(T_values=(5, 500), sigma_f_values=(0.1, 0.2, 0.4)))
-        for K in (3, 7):
-            cost = evaluation._slice_cost(sweep, "GRF", K)
-            assert cost == evaluation._slice_cost(wide, "GRF", K)
-            assert cost == evaluation._METHODS["GRF"][2] * sweep.graphs[K].weights.nnz
-        assert evaluation._slice_cost(wide, "A_lin", 3) > evaluation._slice_cost(sweep, "A_lin", 3)
+    def test_cost_grows_with_the_graph_not_the_grid(self, inputs):
+        grid, wide = GridSpec(), GridSpec(T_values=(5, 500), sigma_f_values=(0.1, 0.2, 0.4))
+        _, graphs = inputs
+        for g in graphs.values():
+            cost = evaluation._slice_cost(grid, g, 10, "GRF")
+            assert cost == evaluation._slice_cost(wide, g, 10, "GRF")
+            assert cost == evaluation._METHODS["GRF"][2] * g.weights.nnz
+        g = graphs[3]
+        assert evaluation._slice_cost(wide, g, 10, "A_lin") > evaluation._slice_cost(grid, g, 10, "A_lin")
 
 
 class TestParallelBenchmark:
@@ -400,6 +406,24 @@ class TestParallelBenchmark:
         with processes(8):
             wide = benchmark(ds, ["I", "GRF"], [0], grid, train_labels=4)
         assert report_kv(wide) == report_kv(serial)
+        assert not multiprocessing.active_children()
+
+    def test_repeated_methods_and_seeds(self):
+        # the results are keyed by slice; a repeat must still give its own row and error
+        ds = two_moons(40, 0.2, seed=1)
+        grid = GridSpec(K_values=(3, 5), T_values=(5, 20), sigma_f_values=(0.2, 0.5))
+        reports = {}
+        for n in (1, 2):
+            with processes(n):
+                reports[n] = benchmark(ds, ["I", "A_S", "I"], [0, 1, 0], grid, train_labels=4)
+        assert report_kv(reports[2]) == report_kv(reports[1])
+        assert report_table(reports[2]) == report_table(reports[1])
+        once = benchmark(ds, ["I", "A_S"], [0, 1], grid, train_labels=4)
+        rows = reports[1].rows
+        assert [r.method for r in rows] == ["I", "A_S", "I"]
+        for row, single in zip(rows, [*once.rows, once.rows[0]]):
+            assert row.errors == (*single.errors, single.errors[0])
+            assert row.selected == (*single.selected, single.selected[0])
         assert not multiprocessing.active_children()
 
     def test_calling_process_runs_the_costliest_slice(self, monkeypatch):
