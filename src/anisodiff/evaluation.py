@@ -12,7 +12,6 @@ import contextlib
 import functools
 import itertools
 import numbers
-import os
 import time
 from dataclasses import dataclass, replace
 
@@ -25,7 +24,7 @@ from .diffusion import (
 )
 from .diffusivity import _check_sigma_f
 from .errors import DivergenceError, InputError, ParameterError, UnlabeledComponentError
-from .graph import build_knn_graph
+from .graph import build_knn_graph, usable_cpus
 
 # method -> (variant, mode, cost factor).  The factor is the relative cost of
 # one sigma_f column per stored graph entry and step, and for GRF of its
@@ -164,13 +163,6 @@ class BenchmarkReport:
     seeds: tuple
     train_labels: int
     rows: tuple
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: the processes ``benchmark`` runs in."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _slice_cost(grid: GridSpec, graph, warm_start_steps: int, method: str) -> float:

@@ -9,6 +9,8 @@ structure built here.
 from __future__ import annotations
 
 import operator
+import os
+import queue
 import warnings
 from functools import cached_property
 
@@ -25,15 +27,60 @@ TINY = float(np.finfo(np.float64).tiny)
 
 DISTANCE_SYMMETRY_TOL = 1e-12
 
-# knn_neighborhoods ranks this many rows of D at a time, so its temporaries
-# are a few (rows, n) arrays rather than n x n
-_KNN_BLOCK_ROWS = 256
-# side of the square tiles max_asymmetry compares against their mirror
-_SYMMETRY_TILE = 128
+# pairwise_distances and knn_neighborhoods work on blocks of this many rows,
+# and the distance checks compare strips of this many rows with their
+# mirror, so each thread's temporaries are a few (rows, n) arrays rather
+# than n x n
+_BLOCK_ROWS = 128
+_SYMMETRY_STRIP_ROWS = 64
+# knn_neighborhoods orders the candidates of this many entries at a time,
+# which is every row at once unless K approaches n
+_ORDER_ENTRIES = 2**18
 
 
 class ConnectivityWarning(UserWarning):
     """The graph has isolated nodes or more than one connected component."""
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the graph build's threads and the
+    processes ``benchmark`` runs in."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split_rows(work, n: int, block_rows: int) -> list:
+    """Run ``work(blocks)`` in one thread per usable CPU, the calling one included.
+
+    Every thread's ``blocks`` iterates over one shared queue of the row
+    blocks [start, stop) of n rows, so a thread slowed by other load takes
+    fewer of them.  Returns each thread's result, the calling thread's
+    first.  Every thread is joined before this returns, and an exception
+    raised in any thread is raised here.  ``work`` must make only large
+    numpy or scipy calls, which release the GIL, and call no function of
+    this package.
+    """
+    # imported here, so the package's import does not load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    todo = queue.SimpleQueue()
+    for start in range(0, n, block_rows):
+        todo.put((start, min(start + block_rows, n)))
+
+    def blocks():
+        while True:
+            try:
+                yield todo.get_nowait()
+            except queue.Empty:
+                return
+
+    threads = min(usable_cpus(), todo.qsize())
+    # leaving the with block joins the pool's threads
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+        futures = [pool.submit(work, blocks()) for _ in range(threads - 1)]
+        first = work(blocks())
+    return [first] + [future.result() for future in futures]
 
 
 def validate_features(features) -> np.ndarray:
@@ -55,16 +102,13 @@ def validate_distances(dist) -> np.ndarray:
         raise ParameterError(f"distance matrix must be square, got shape {D.shape}")
     if D.shape[0] < 2:
         raise ParameterError("need at least 2 points")
-    # min propagates NaN and min/max reach any infinity, so two reductions
-    # answer both checks without an n x n boolean mask
-    lo, hi = D.min(), D.max()
+    lo, hi, asym = _scan_distances(D)
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ParameterError("distance matrix contains non-finite entries")
     if lo < 0:
         raise ParameterError("distance matrix contains negative entries")
     if np.abs(np.diagonal(D)).max() > 0:
         raise ParameterError("distance matrix diagonal must be zero")
-    asym = max_asymmetry(D)
     if asym > DISTANCE_SYMMETRY_TOL:
         raise ParameterError(
             f"distance matrix asymmetric by {asym:.3e} "
@@ -74,19 +118,38 @@ def validate_distances(dist) -> np.ndarray:
 
 
 def max_asymmetry(D) -> float:
-    """max |D - D^T| of a square array, NaN if any difference is NaN.
+    """max |D - D^T| of a square array, NaN if any difference is NaN."""
+    return _scan_distances(np.ascontiguousarray(D, dtype=np.float64))[2]
 
-    Compares each tile on or above the diagonal with its mirror, so no
-    n x n temporary is made; the maximum does not depend on that order.
+
+def _scan_distances(D):
+    """(min, max, max |D - D^T|) of a square array, each NaN if D holds a NaN.
+
+    Each strip of rows is compared with its mirror from the diagonal on, in
+    one strip buffer per thread, so no n x n temporary is made; none of the
+    three depends on that order.
     """
     n = D.shape[0]
-    t = _SYMMETRY_TILE
-    # np.max of the tile maxima propagates NaN, as one max over D - D^T does
-    return float(np.max([
-        np.abs(D[i : i + t, j : j + t] - D[j : j + t, i : i + t].T).max()
-        for i in range(0, n, t)
-        for j in range(i, n, t)
-    ]))
+
+    def work(strips):
+        buf = np.empty((n, _SYMMETRY_STRIP_ROWS))
+        lo, hi, asym = np.inf, -np.inf, 0.0
+        for a, b in strips:
+            # np.minimum and np.maximum propagate NaN, and min/max reach any
+            # infinity, so these answer the finiteness and sign checks
+            # without an n x n boolean mask
+            lo = np.minimum(lo, D[a:b].min())
+            hi = np.maximum(hi, D[a:b].max())
+            # the strip's columns against its rows: the strided operand's
+            # inner loop then spans the strip's rows, which stay in cache.
+            # inf - inf is NaN, which the non-finite check reports first
+            with np.errstate(invalid="ignore"):
+                diff = np.subtract(D[a:, a:b], D[a:b, a:].T, out=buf[: n - a, : b - a])
+            asym = np.maximum(asym, np.abs(diff, out=diff).max())
+        return lo, hi, asym
+
+    lo, hi, asym = zip(*_split_rows(work, n, _SYMMETRY_STRIP_ROWS))
+    return np.minimum.reduce(lo), np.maximum.reduce(hi), float(np.maximum.reduce(asym))
 
 
 def validate_neighborhoods(neighborhoods, n: int) -> np.ndarray:
@@ -111,7 +174,14 @@ def validate_neighborhoods(neighborhoods, n: int) -> np.ndarray:
 def pairwise_distances(features) -> np.ndarray:
     """Euclidean distance matrix of an n x d feature array."""
     X = validate_features(features)
-    return cdist(X, X)
+    D = np.empty((len(X), len(X)))
+
+    def work(blocks):
+        for a, b in blocks:
+            cdist(X[a:b], X, out=D[a:b])
+
+    _split_rows(work, len(X), _BLOCK_ROWS)
+    return D
 
 
 class Graph:
@@ -359,28 +429,39 @@ def knn_neighborhoods(dist, K: int) -> np.ndarray:
         raise ParameterError(f"K must be an integer, got {K!r}") from None
     if not 1 <= K <= n - 1:
         raise ParameterError(f"K must satisfy 1 <= K <= n-1 = {n - 1}, got {K}")
+    # the K + 1 smallest entries of each row; they are the first K + 1 of a
+    # stable sort unless more entries share the cutoff distance, the (K+1)-th
+    # smallest, and such tied rows take the stable sort itself
+    cand = np.empty((n, K + 1), dtype=np.int64)
+    tied = np.empty(n, dtype=bool)
+
+    def select(blocks):
+        for a, b in blocks:
+            part = np.argpartition(D[a:b], K, axis=1)
+            cand[a:b] = part[:, : K + 1]
+            cutoff = np.take_along_axis(D[a:b], part[:, K : K + 1], axis=1)
+            del part  # before the next block's, so a thread holds one at a time
+            tied[a:b] = np.count_nonzero(D[a:b] <= cutoff, axis=1) > K + 1
+
+    _split_rows(select, n, _BLOCK_ROWS)
     out = np.empty((n, K), dtype=np.int64)
-    for start in range(0, n, _KNN_BLOCK_ROWS):
-        block = D[start : start + _KNN_BLOCK_ROWS]
-        # the K + 1 smallest entries of each row, ordered by (distance, index)
-        cand = np.sort(np.argpartition(block, K, axis=1)[:, : K + 1], axis=1)
-        dist_cand = np.take_along_axis(block, cand, axis=1)
-        order = np.take_along_axis(
-            cand, np.argsort(dist_cand, axis=1, kind="stable"), axis=1
-        )
-        # they are the first K + 1 of a stable sort unless more entries share
-        # the cutoff distance; those rows take the stable sort itself
-        cutoff = dist_cand.max(axis=1, keepdims=True)
-        tied = np.count_nonzero(block <= cutoff, axis=1) > K + 1
-        if tied.any():
-            order[tied] = np.argsort(block[tied], axis=1, kind="stable")[:, : K + 1]
+    step = max(1, _ORDER_ENTRIES // (K + 1))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        # the candidates ordered by (distance, index)
+        cand[rows].sort(axis=1)
+        dist = np.take_along_axis(D[rows], cand[rows], axis=1)
+        order = np.take_along_axis(cand[rows], np.argsort(dist, axis=1, kind="stable"), axis=1)
+        ties = np.flatnonzero(tied[rows])
+        for t in range(0, len(ties), _BLOCK_ROWS):
+            r = ties[t : t + _BLOCK_ROWS]
+            order[r] = np.argsort(D[start + r], axis=1, kind="stable")[:, : K + 1]
         # the zero diagonal puts self among the K + 1 unless more than K
         # duplicates precede it; stably moving it last leaves the others in
         # the order an infinite diagonal gives
-        rows = np.arange(start, start + len(block))
-        is_self = order == rows[:, None]
+        is_self = order == np.arange(start, start + len(order))[:, None]
         order = np.take_along_axis(order, np.argsort(is_self, axis=1, kind="stable"), axis=1)
-        out[start : start + len(block)] = order[:, :K]
+        out[rows] = order[:, :K]
     return out
 
 

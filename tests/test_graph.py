@@ -1,4 +1,6 @@
+import contextlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anisodiff import graph as graph_mod
 from anisodiff.data import write_graph_triplets
 from anisodiff.errors import (
     DegenerateDataError,
@@ -163,6 +166,122 @@ def test_build_knn_graph_memory_is_below_the_distance_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * D.nbytes
+
+
+@contextlib.contextmanager
+def threads(count):
+    """Run the graph build's row blocks over ``count`` threads."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_mod, "usable_cpus", lambda: count)
+        yield
+
+
+THREAD_COUNTS = (1, 2, 3)
+
+
+def _grid_points():
+    i = np.arange(700)
+    return np.stack([i % 3, (i // 3) % 3], axis=1).astype(float)
+
+
+class TestThreadCountInvariance:
+    """One thread or several: the same bytes, the same errors.
+
+    The inputs are TestKnnAcrossBlocks's tie-heavy ones, with more rows than
+    one block per thread.
+    """
+
+    # points, the K of each kNN list, the K of the graph (None where every
+    # neighbor distance is 0, which has no Gaussian scale)
+    INPUTS = {
+        "grid": (_grid_points, (1, 5, 30, 699), 699),
+        "rounded_normals": (
+            lambda: np.round(np.random.default_rng(7).normal(size=(650, 2)), 1),
+            (1, 4, 10, 25, 649),
+            10,
+        ),
+        "identical": (lambda: np.zeros((600, 2)), (1, 9, 599), None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_distances_lists_and_graph(self, name):
+        points, Ks, graph_K = self.INPUTS[name]
+        X = points()
+        runs = []
+        for count in THREAD_COUNTS:
+            with threads(count):
+                D = pairwise_distances(X)
+                lists = [knn_neighborhoods(D, K) for K in Ks]
+                csr = ()
+                if graph_K is not None:
+                    W = build_knn_graph(D, graph_K).weights
+                    csr = (W.indptr, W.indices, W.data)
+                runs.append((D, lists, csr))
+        D1, lists1, csr1 = runs[0]
+        for D, lists, csr in runs[1:]:
+            assert np.array_equal(D, D1)
+            for got, want in zip(lists, lists1):
+                assert np.array_equal(got, want)
+            for got, want in zip(csr, csr1):
+                assert np.array_equal(got, want)
+
+    # n = 350 makes 6 strips of 64 rows, shared out among the threads; the
+    # defects sit in the last one, rows 340 and 345
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("nan", "non-finite"),
+            ("inf", "non-finite"),
+            ("-inf", "non-finite"),
+            ("negative", "negative"),
+            ("diagonal", "diagonal must be zero"),
+            ("asymmetric", r"asymmetric by 2\.500e-01"),
+        ],
+    )
+    def test_validate_distances_raises_the_same_message(self, defect, message):
+        D = pairwise_distances(np.random.default_rng(9).normal(size=(350, 2)))
+        if defect in ("nan", "inf", "-inf"):
+            D[345, 340] = float(defect)
+        elif defect == "negative":
+            D[345, 340] = D[340, 345] = -1.0
+        elif defect == "diagonal":
+            D[345, 345] = 0.5
+        else:
+            D[340, 345] += 0.25
+        messages = []
+        for count in THREAD_COUNTS:
+            with threads(count), pytest.raises(ParameterError, match=message) as err:
+                validate_distances(D)
+            messages.append(str(err.value))
+        assert len(set(messages)) == 1, messages
+
+
+class TestNoThreadOutlivesACall:
+    def test_builds_and_a_failed_check(self):
+        X = np.random.default_rng(10).normal(size=(350, 2))
+        with threads(3):
+            before = threading.active_count()
+            D = pairwise_distances(X)
+            assert threading.active_count() == before
+            build_knn_graph(D, 5)
+            assert threading.active_count() == before
+            D[345, 340] = np.nan
+            with pytest.raises(ParameterError, match="non-finite"):
+                validate_distances(D)
+            assert threading.active_count() == before
+
+    def test_a_worker_exception_reaches_the_caller(self):
+        caller = threading.current_thread()
+
+        def work(blocks):
+            if threading.current_thread() is not caller:
+                raise ValueError("worker")
+            return sum(1 for _ in blocks)
+
+        before = threading.active_count()
+        with threads(3), pytest.raises(ValueError, match="worker"):
+            graph_mod._split_rows(work, 7, 1)
+        assert threading.active_count() == before
 
 
 class TestAutoSigmaX:
