@@ -326,8 +326,6 @@ def cmd_benchmark(parser, args) -> int:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None) is not None:

@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .diffusion import _check_integer
 from .errors import InputError, ParameterError
 from .graph import (
     DISTANCE_SYMMETRY_TOL,
@@ -26,6 +27,7 @@ from .graph import (
 
 
 def _rng(seed: int) -> np.random.Generator:
+    _check_integer("seed", seed, 0)
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -41,8 +43,10 @@ class Dataset:
     def __post_init__(self):
         labels = np.asarray(self.labels)
         # a cast would truncate a fractional label into a class it never had
-        if (np.mod(labels, 1) != 0).any():
-            raise InputError(f"labels of dataset {self.name!r} must be whole numbers")
+        if labels.ndim != 1 or labels.dtype.kind not in "biuf" or (np.mod(labels, 1) != 0).any():
+            raise InputError(
+                f"labels of dataset {self.name!r} must be whole numbers in a 1-D array"
+            )
         self.labels = labels.astype(np.int64)
         if self.features is None and self.distances is None:
             raise ParameterError("dataset needs features or distances")
@@ -92,17 +96,18 @@ def two_moons(n: int, noise_sd: float, seed: int) -> Dataset:
     Class 0 is the upper arc, class 1 the lower one shifted to interleave;
     with noise_sd=0 the points lie exactly on the arcs.
     """
+    _check_integer("n", n, 0)
     if n < 4 or n % 2:
         raise ParameterError(f"n must be even and >= 4, got {n}")
-    if noise_sd < 0:
-        raise ParameterError("noise_sd must be >= 0")
+    # NaN fails both comparisons
+    if not 0 <= noise_sd < np.inf:
+        raise ParameterError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     half = n // 2
     t = np.linspace(0.0, np.pi, half)
     upper = np.column_stack([np.cos(t), np.sin(t)])
     lower = np.column_stack([1.0 - np.cos(t), 0.5 - np.sin(t)])
-    X = np.vstack([upper, lower])
-    if noise_sd > 0:
-        X = X + _rng(seed).normal(0.0, noise_sd, X.shape)
+    # at noise_sd = 0 every draw is +-0.0, which changes no coordinate's bits
+    X = np.vstack([upper, lower]) + _rng(seed).normal(0.0, noise_sd, (n, 2))
     y = np.repeat([0, 1], half)
     return Dataset("two-moons", y, features=X)
 
@@ -113,12 +118,14 @@ def gaussian_blobs(n: int, c: int, separation: float, d: int, seed: int) -> Data
     Center k sits at separation * (k // d + 1) along axis k mod d, which for
     c <= d is simply separation * e_k.  Counts are balanced up to remainder.
     """
+    for name, value in (("n", n), ("c", c), ("d", d)):
+        _check_integer(name, value, 0)
     if not (n >= c >= 2):
         raise ParameterError(f"need n >= c >= 2, got n={n}, c={c}")
     if d < 1:
         raise ParameterError("d must be >= 1")
-    if separation < 0:
-        raise ParameterError("separation must be >= 0")
+    if not 0 <= separation < np.inf:
+        raise ParameterError(f"separation must be finite and >= 0, got {separation}")
     centers = np.zeros((c, d))
     for k in range(c):
         centers[k, k % d] = separation * (k // d + 1)
@@ -136,6 +143,7 @@ def split_labels(dataset: Dataset, l: int, seed: int) -> SplitSpec:
     so each class gets floor(l/c) or ceil(l/c) training labels.  When a pool
     runs dry the draw falls back to the largest remaining pool.
     """
+    _check_integer("l", l, 0)
     y = dataset.labels
     n, c = dataset.n, dataset.c
     if l < c:

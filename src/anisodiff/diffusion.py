@@ -21,7 +21,7 @@ from .diffusivity import (
 )
 from .errors import DivergenceError, InputError, ParameterError
 from .graph import Graph
-from .laplacian import LaplacianOperator
+from .laplacian import LaplacianOperator, edge_energy
 
 MODES = ("linear", "nonlinear")
 
@@ -153,20 +153,13 @@ def _trajectory(
     f = warm_start(graph, f, config.warm_start_steps, config.delta)
     # the isotropic field q == 1 does not depend on f
     recompute = config.mode == "nonlinear" and config.variant != "isotropic"
-    upper = graph.upper
-
-    def energy(weights, g2):
-        return float(weights.wD[upper] @ g2) if energies else None
-
-    g2 = None
-    if energies or config.variant != "isotropic":
-        g2 = edge_sqnorms(graph, f)
+    g2 = edge_sqnorms(graph, f) if energies or config.variant != "isotropic" else None
     sums = MutualSums(graph) if config.variant == "smooth" else None
     weights = variant_weights(
         graph, f, config.sigma_f, config.variant, sqnorms=g2, sums=sums
     )
     op = LaplacianOperator(graph, weights)
-    yield 0, f, energy(weights, g2)
+    yield 0, f, edge_energy(graph, weights.wD, g2) if energies else None
     for t in range(1, config.T + 1):
         if t > 1 and recompute:
             weights = variant_weights(
@@ -178,7 +171,7 @@ def _trajectory(
             f[clamp_rows] = clamp_values
         if energies or (recompute and t < config.T):
             g2 = edge_sqnorms(graph, f)
-        yield t, f, energy(weights, g2)
+        yield t, f, edge_energy(graph, weights.wD, g2) if energies else None
 
 
 def run_diffusion(
@@ -186,11 +179,9 @@ def run_diffusion(
 ) -> DiffusionResult:
     """Warm start, then T (an)isotropic steps; returns f^T and energy trace."""
     energies = np.empty(config.T + 1)
-    f_final = state.f
     for t, f, energy in _trajectory(config, graph, state):
         energies[t] = energy
-        f_final = f
-    return DiffusionResult(f_final, energies)
+    return DiffusionResult(f, energies)
 
 
 def snapshots_at(

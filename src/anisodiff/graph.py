@@ -248,10 +248,7 @@ class Graph:
     @cached_property
     def rows(self) -> np.ndarray:
         """Row index of every stored CSR entry (parallel to ``weights.data``)."""
-        W = self.weights
-        return np.repeat(
-            np.arange(self.n, dtype=np.int64), np.diff(W.indptr)
-        )
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.weights.indptr))
 
     @cached_property
     def _keys(self) -> np.ndarray:

@@ -74,6 +74,13 @@ class LaplacianOperator:
         return out
 
 
+def edge_energy(graph: Graph, wd: np.ndarray, g2: np.ndarray) -> float:
+    """sum_e wD_e g2_e: ``wd`` per stored entry, ``g2`` per edge as :func:`edge_sqnorms`."""
+    # einsum sums in one thread in a fixed order; a BLAS dot splits a long sum
+    # over its threads, so its rounding would depend on their number
+    return float(np.einsum("e,e->", wd[graph.upper], g2))
+
+
 def regularizer_energy(
     graph: Graph, weights: AnisotropicWeights | None, f
 ) -> float:
@@ -82,5 +89,4 @@ def regularizer_energy(
     Nonnegative, and zero exactly when f is constant per connected component.
     ``weights=None`` evaluates the isotropic energy (wD = w).
     """
-    wd = _field_data(graph, weights)
-    return float(wd[graph.upper] @ edge_sqnorms(graph, f))
+    return edge_energy(graph, _field_data(graph, weights), edge_sqnorms(graph, f))

@@ -255,7 +255,7 @@ def trajectory_rebuild(config, graph, state):
     energies = np.empty(config.T + 1)
     g2 = _edge_sqnorms_gather(graph, f)
     weights = variant_weights(graph, f, config.sigma_f, config.variant, sqnorms=g2[upper])
-    energies[0] = float(weights.wD[upper] @ g2[upper])
+    energies[0] = float(np.einsum("e,e->", weights.wD[upper], g2[upper]))
     for t in range(1, config.T + 1):
         if t > 1 and recompute:
             weights = variant_weights(
@@ -265,7 +265,7 @@ def trajectory_rebuild(config, graph, state):
         if config.clamp_labels:
             f[clamp_rows] = clamp_values
         g2 = _edge_sqnorms_gather(graph, f)
-        energies[t] = float(weights.wD[upper] @ g2[upper])
+        energies[t] = float(np.einsum("e,e->", weights.wD[upper], g2[upper]))
     return f, energies
 
 

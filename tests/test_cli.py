@@ -429,6 +429,18 @@ class TestExitCodeRule:
             ("synth", ["--kind", "two-moons", "--n", 60, "--noise", -1], "noise_sd"),
             ("synth", ["--kind", "blobs", "--n", 60, "--classes", 1], "n >= c >= 2"),
             ("synth", ["--kind", "blobs", "--n", 60, "--dim", 0], "d must be >= 1"),
+            ("synth", ["--kind", "two-moons", "--n", 10, "--seed", -1],
+             "seed must be an integer >= 0, got -1"),
+            ("synth", ["--kind", "blobs", "--n", 60, "--seed", -1],
+             "seed must be an integer >= 0, got -1"),
+            ("synth", ["--kind", "two-moons", "--n", 60, "--noise", "nan"],
+             "noise_sd must be finite and >= 0, got nan"),
+            ("synth", ["--kind", "two-moons", "--n", 60, "--noise", "inf"],
+             "noise_sd must be finite and >= 0, got inf"),
+            ("synth", ["--kind", "blobs", "--n", 60, "--separation", "nan"],
+             "separation must be finite and >= 0, got nan"),
+            ("synth", ["--kind", "blobs", "--n", 60, "--separation", "inf"],
+             "separation must be finite and >= 0, got inf"),
             ("benchmark", ["--seeds", -1], "seed must be an integer >= 0"),
             ("benchmark", ["--seeds", ","], "seeds must name at least one seed"),
             ("benchmark", ["--train-labels", 100], "2l <= n"),

@@ -50,6 +50,27 @@ class TestTwoMoons:
         with pytest.raises(ParameterError):
             two_moons(n, 0.1, seed=0)
 
+    @pytest.mark.parametrize(
+        "n, noise_sd, seed, message",
+        [
+            (6.0, 0.1, 0, "n must be an integer >= 0, got 6.0"),
+            (10, 0.1, -1, "seed must be an integer >= 0, got -1"),
+            # the noiseless arcs draw nothing, and still take only a valid seed
+            (10, 0.0, -1, "seed must be an integer >= 0, got -1"),
+            (10, 0.1, 1.5, "seed must be an integer >= 0, got 1.5"),
+            (10, np.nan, 0, "noise_sd must be finite and >= 0, got nan"),
+            (10, np.inf, 0, "noise_sd must be finite and >= 0, got inf"),
+            (10, -0.5, 0, "noise_sd must be finite and >= 0, got -0.5"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, n, noise_sd, seed, message):
+        with pytest.raises(ParameterError, match=message):
+            two_moons(n, noise_sd, seed)
+
+    def test_numpy_integers_pass(self):
+        a = two_moons(np.int64(20), 0.1, seed=np.uint8(3))
+        assert np.array_equal(a.features, two_moons(20, 0.1, seed=3).features)
+
 
 class TestGaussianBlobs:
     def test_deterministic_and_shapes(self):
@@ -73,6 +94,23 @@ class TestGaussianBlobs:
             gaussian_blobs(1, 2, 5.0, 2, seed=0)
         with pytest.raises(ParameterError):
             gaussian_blobs(10, 1, 5.0, 2, seed=0)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((10.0, 2, 5.0, 2, 0), "n must be an integer >= 0, got 10.0"),
+            ((10, 2.0, 5.0, 2, 0), "c must be an integer >= 0, got 2.0"),
+            ((10, 2, 5.0, 2.0, 0), "d must be an integer >= 0, got 2.0"),
+            ((10, 2, 5.0, 2, -1), "seed must be an integer >= 0, got -1"),
+            ((10, 2, 5.0, 2, 0.5), "seed must be an integer >= 0, got 0.5"),
+            ((10, 2, np.nan, 2, 0), "separation must be finite and >= 0, got nan"),
+            ((10, 2, np.inf, 2, 0), "separation must be finite and >= 0, got inf"),
+            ((10, 2, -1.0, 2, 0), "separation must be finite and >= 0, got -1.0"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, args, message):
+        with pytest.raises(ParameterError, match=message):
+            gaussian_blobs(*args)
 
 
 class TestSplitLabels:
@@ -131,6 +169,19 @@ class TestSplitLabels:
             split_labels(ds, 1, seed=0)  # l < c
         with pytest.raises(ParameterError):
             split_labels(ds, 60, seed=0)  # 2l > n
+
+    @pytest.mark.parametrize(
+        "l, seed, message",
+        [
+            (4.0, 0, "l must be an integer >= 0, got 4.0"),
+            (4, 1.5, "seed must be an integer >= 0, got 1.5"),
+            (4, -1, "seed must be an integer >= 0, got -1"),
+        ],
+    )
+    def test_rejects_bad_l_or_seed(self, l, seed, message):
+        ds = two_moons(100, 0.1, seed=0)
+        with pytest.raises(ParameterError, match=message):
+            split_labels(ds, l, seed)
 
 
 class TestFileFormats:
@@ -339,6 +390,15 @@ class TestDatasetInvariants:
     def test_fractional_labels_rejected(self, labels):
         # a cast would read [0, 1.7, 0.2] as classes [0, 1, 0]
         with pytest.raises(InputError, match="labels of dataset 'x' must be whole numbers"):
+            Dataset("x", labels, features=np.zeros((3, 2)))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [np.array([[0], [1], [0]]), None, ["a", "b", "a"], np.array(0), [0, None, 1]],
+        ids=["2-D", "None", "strings", "0-D", "object"],
+    )
+    def test_labels_not_a_1d_numeric_array_rejected(self, labels):
+        with pytest.raises(InputError, match="must be whole numbers in a 1-D array"):
             Dataset("x", labels, features=np.zeros((3, 2)))
 
     def test_whole_float_labels_accepted(self):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,8 @@ from oracles import (
     random_knn_graph,
     trajectory_rebuild,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def two_node_graph():
@@ -381,6 +387,55 @@ class TestFusedLoopMatchesRebuild:
         for T in range(config.T + 1):
             ref = run_diffusion(replace(config, T=T), g, state).f
             assert np.array_equal(snaps[T], ref)
+
+
+class TestOneEnergySum:
+    """The trace and regularizer_energy take one sum, whatever the BLAS threads."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_trace_is_the_regularizer_energy_bitwise(self, variant):
+        rng = np.random.default_rng(60)
+        _, g = random_knn_graph(rng, 40, 5)
+        state = init_labels([(0, 0), (9, 1), (21, 2), (33, 1)], 40, 3)
+        config = DiffusionConfig(
+            K=5, T=8, sigma_f=0.3, warm_start_steps=3, variant=variant, mode="linear"
+        )
+        energies = run_diffusion(config, g, state).energies
+        snaps = snapshots_at(config, g, state, range(config.T + 1))
+        # linear mode freezes the field of the warm-started f
+        weights = variant_weights(g, snaps[0], config.sigma_f, variant)
+        for t in range(config.T + 1):
+            assert energies[t] == regularizer_energy(g, weights, snaps[t])
+
+    def test_run_is_byte_identical_for_one_and_two_blas_threads(self):
+        # 23,790 edges, long enough that OpenBLAS splits a dot over two threads
+        script = (
+            "import hashlib\n"
+            "from anisodiff.data import split_labels, two_moons\n"
+            "from anisodiff.diffusion import DiffusionConfig, init_labels, run_diffusion\n"
+            "from anisodiff.graph import build_knn_graph\n"
+            "ds = two_moons(4000, 0.1, 0)\n"
+            "g = build_knn_graph(ds.distance_matrix, 10)\n"
+            "train = split_labels(ds, 4, 0).train\n"
+            "state = init_labels(zip(train, ds.labels[train]), ds.n, ds.c)\n"
+            "res = run_diffusion(DiffusionConfig(K=10, T=3, variant='smooth'), g, state)\n"
+            "print(len(g.upper), res.energies.tobytes().hex(),"
+            " hashlib.sha256(res.f.tobytes()).hexdigest())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0].startswith("23790 ")
+        assert outputs[0] == outputs[1]
 
 
 class TestSharedGraphIsNeverWritten:
