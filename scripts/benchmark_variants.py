@@ -10,6 +10,7 @@ import argparse
 import sys
 
 import anisodiff as ad
+from anisodiff.cli import SYNTH_FLAGS
 from anisodiff.evaluation import report_kv, report_table
 
 
@@ -17,14 +18,22 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dataset", choices=["two-moons", "blobs"], default="two-moons")
     ap.add_argument("--n", type=int, default=600)
-    ap.add_argument("--noise", type=float, default=0.1)
-    ap.add_argument("--classes", type=int, default=3, help="blobs only")
-    ap.add_argument("--separation", type=float, default=6.0, help="blobs only")
+    # each dataset's own flags; the other dataset's are usage errors
+    kind_flags = ("noise", "classes", "separation")
+    for name in kind_flags:
+        kind, default = SYNTH_FLAGS[name]
+        ap.add_argument(f"--{name}", type=type(default), default=argparse.SUPPRESS,
+                        help=f"{kind} only (default {default})")
     ap.add_argument("--methods", default="I,A_lin,A_nlin,A_S,A_LM,GRF")
     ap.add_argument("--seeds", default="0,1,2,3,4")
     ap.add_argument("--train-labels", type=int, default=4)
     ap.add_argument("--out", help="report prefix; writes .txt and .kv")
     args = ap.parse_args()
+    for name in kind_flags:
+        kind, default = SYNTH_FLAGS[name]
+        if kind != args.dataset and name in vars(args):
+            ap.error(f"--{name} applies to --dataset {kind} only")
+        vars(args).setdefault(name, default)
 
     if args.dataset == "two-moons":
         ds = ad.two_moons(args.n, args.noise, 0)

@@ -46,6 +46,10 @@ VARIANT_FLAGS = {
     "match": "local_match",
 }
 
+# synth's per-kind flags: the --kind each applies to, and its default there
+SYNTH_FLAGS = {"noise": ("two-moons", 0.1), "classes": ("blobs", 3),
+               "dim": ("blobs", 2), "separation": ("blobs", 6.0)}
+
 _CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -99,10 +103,9 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--kind", choices=["two-moons", "blobs"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--noise", type=float, default=0.1, help="two-moons noise sd")
-    p.add_argument("--classes", type=int, default=3, help="blobs class count")
-    p.add_argument("--dim", type=int, default=2, help="blobs dimension")
-    p.add_argument("--separation", type=float, default=6.0, help="blobs center gap")
+    for name, (kind, default) in SYNTH_FLAGS.items():  # off args unless given
+        p.add_argument(f"--{name}", type=type(default), default=argparse.SUPPRESS,
+                       help=f"{kind} only (default {default})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
@@ -193,6 +196,10 @@ def _load_distances(parser, args):
 
 
 def cmd_synth(parser, args) -> int:
+    for name, (kind, default) in SYNTH_FLAGS.items():
+        if kind != args.kind and name in vars(args):
+            parser.error(f"--{name} applies to --kind {kind} only")
+        vars(args).setdefault(name, default)
     if args.kind == "two-moons":
         ds = datamod.two_moons(args.n, args.noise, args.seed)
     else:

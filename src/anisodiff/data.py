@@ -19,7 +19,7 @@ from .errors import InputError, ParameterError
 from .graph import (
     DISTANCE_SYMMETRY_TOL,
     Graph,
-    max_asymmetry,
+    _scan_distances,
     pairwise_distances,
     validate_distances,
     validate_features,
@@ -244,10 +244,9 @@ def read_distances(path) -> np.ndarray:
     pair given in one direction is mirrored.
     """
     table = _read_table(path)
-    square = table.shape[0] == table.shape[1]
-    # min() is NaN if any entry is, so a NaN table is not read densely
-    if square and not np.diagonal(table).any() and table.min() >= 0:
-        asym = max_asymmetry(table)
+    # the minimum is NaN if any entry is, so a NaN table is not read densely
+    lo, asym = _scan_distances(table) if table.shape[0] == table.shape[1] else (np.nan, 0)
+    if lo >= 0 and not np.diagonal(table).any():
         if asym > DISTANCE_SYMMETRY_TOL:
             warnings.warn(
                 f"{path}: distances asymmetric by {asym:.3e}; averaging",

@@ -102,8 +102,9 @@ def validate_distances(dist) -> np.ndarray:
         raise ParameterError(f"distance matrix must be square, got shape {D.shape}")
     if D.shape[0] < 2:
         raise ParameterError("need at least 2 points")
-    lo, hi, asym = _scan_distances(D)
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    lo, asym = _scan_distances(D)
+    # two entries >= 0 differ by a finite amount unless one of them is +inf
+    if not np.isfinite(lo) or (lo >= 0 and not np.isfinite(asym)):
         raise ParameterError("distance matrix contains non-finite entries")
     if lo < 0:
         raise ParameterError("distance matrix contains negative entries")
@@ -117,39 +118,32 @@ def validate_distances(dist) -> np.ndarray:
     return D
 
 
-def max_asymmetry(D) -> float:
-    """max |D - D^T| of a square array, NaN if any difference is NaN."""
-    return _scan_distances(np.ascontiguousarray(D, dtype=np.float64))[2]
-
-
 def _scan_distances(D):
-    """(min, max, max |D - D^T|) of a square array, each NaN if D holds a NaN.
+    """(min D, max |D - D^T|) of a square float64 array.
 
-    Each strip of rows is compared with its mirror from the diagonal on, in
-    one strip buffer per thread, so no n x n temporary is made; none of the
-    three depends on that order.
+    A NaN makes the minimum NaN, and as every entry meets its mirror, an
+    infinity makes the asymmetry inf or NaN.  Each strip of rows is compared
+    with its mirror from the diagonal on, in one strip buffer per thread, so
+    no n x n temporary is made; neither value depends on that order.
     """
     n = D.shape[0]
 
     def work(strips):
         buf = np.empty((n, _SYMMETRY_STRIP_ROWS))
-        lo, hi, asym = np.inf, -np.inf, 0.0
+        lo, asym = np.inf, 0.0
         for a, b in strips:
-            # np.minimum and np.maximum propagate NaN, and min/max reach any
-            # infinity, so these answer the finiteness and sign checks
-            # without an n x n boolean mask
+            # np.minimum propagates NaN, so no n x n boolean mask is needed
             lo = np.minimum(lo, D[a:b].min())
-            hi = np.maximum(hi, D[a:b].max())
             # the strip's columns against its rows: the strided operand's
             # inner loop then spans the strip's rows, which stay in cache.
-            # inf - inf is NaN, which the non-finite check reports first
-            with np.errstate(invalid="ignore"):
+            # inf - inf is NaN, and entries of opposite signs may overflow
+            with np.errstate(invalid="ignore", over="ignore"):
                 diff = np.subtract(D[a:, a:b], D[a:b, a:].T, out=buf[: n - a, : b - a])
             asym = np.maximum(asym, np.abs(diff, out=diff).max())
-        return lo, hi, asym
+        return lo, asym
 
-    lo, hi, asym = zip(*_split_rows(work, n, _SYMMETRY_STRIP_ROWS))
-    return np.minimum.reduce(lo), np.maximum.reduce(hi), float(np.maximum.reduce(asym))
+    lo, asym = zip(*_split_rows(work, n, _SYMMETRY_STRIP_ROWS))
+    return np.minimum.reduce(lo), float(np.maximum.reduce(asym))
 
 
 def validate_neighborhoods(neighborhoods, n: int) -> np.ndarray:

@@ -133,6 +133,11 @@ class TestGrfHarmonic:
             grf_harmonic(g, state)
         assert exc.value.component_nodes == [2, 3, 4]
 
+    def test_state_rows_must_match_the_graph(self):
+        g = path_graph(3)
+        with pytest.raises(ShapeError, match=r"label state shape \(4, 2\) does not match graph n=3"):
+            grf_harmonic(g, init_labels([(0, 0), (3, 1)], 4, 2))
+
     def test_unlabeled_component_error_survives_pickling(self):
         # an exception crosses a process boundary pickled
         error = UnlabeledComponentError(range(56))

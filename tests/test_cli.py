@@ -186,6 +186,8 @@ class TestPropagate:
             ("warm_start=2.5", "'warm_start'"),
             ("clamp_labels=maybe", "'clamp_labels'"),
             ("no equals sign", "expected key=value"),
+            ("variant=diagonal", "config variant must be one of"),
+            ("bogus=1", "unknown config key 'bogus'"),
         ],
     )
     def test_bad_config_value_usage_error(self, tmp_path, capsys, line, key):
@@ -441,6 +443,12 @@ class TestExitCodeRule:
              "separation must be finite and >= 0, got nan"),
             ("synth", ["--kind", "blobs", "--n", 60, "--separation", "inf"],
              "separation must be finite and >= 0, got inf"),
+            ("synth", ["--kind", "two-moons", "--n", 10, "--classes", 5, "--dim", 7,
+                       "--separation", 3], "--classes applies to --kind blobs only"),
+            ("synth", ["--kind", "two-moons", "--n", 10, "--sep", 3],
+             "--separation applies to --kind blobs only"),
+            ("synth", ["--kind", "blobs", "--n", 30, "--noise", 0.5],
+             "--noise applies to --kind two-moons only"),
             ("benchmark", ["--seeds", -1], "seed must be an integer >= 0"),
             ("benchmark", ["--seeds", ","], "seeds must name at least one seed"),
             ("benchmark", ["--train-labels", 100], "2l <= n"),

@@ -222,6 +222,26 @@ class TestFileFormats:
         with pytest.raises(InputError):
             read_labels(path, 3)
 
+    @pytest.mark.parametrize(
+        "text, pattern",
+        [
+            ("0 1 0\n", r"labels\.txt: expected 'index class' lines, got 3 columns"),
+            ("0 0.5\n", r"labels\.txt: indices and classes must be integers >= 0"),
+        ],
+        ids=["three-columns", "fractional-class"],
+    )
+    def test_label_pairs_rejections(self, tmp_path, text, pattern):
+        path = tmp_path / "labels.txt"
+        path.write_text(text)
+        with pytest.raises(InputError, match=pattern):
+            read_label_pairs(path)
+
+    def test_labels_index_outside_range(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("0 0\n1 1\n3 0\n")
+        with pytest.raises(InputError, match=r"labels\.txt: label index 3 outside \[0, 3\)"):
+            read_labels(path, 3)
+
     def test_label_pairs_duplicate_index(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("0 1\n0 0\n")
@@ -256,6 +276,31 @@ class TestFileFormats:
         with pytest.warns(UserWarning, match=r"asymmetric by 2\.500e-01; averaging"):
             got = read_distances(path)
         assert got[150, 290] == got[290, 150] == 1.625
+
+    @pytest.mark.parametrize(
+        "text, pattern",
+        [
+            # one scan reads the table as dense: nonnegative, zero diagonal
+            ("0 inf\ninf 0\n", r"dist\.txt: distance matrix contains non-finite entries"),
+            ("0 inf\n1 0\n", r"dist\.txt: distance matrix contains non-finite entries"),
+            ("0 1e308\n1e308 0\n", None),
+            # a NaN or a negative entry makes it a table of another shape
+            ("0 nan\nnan 0\n", r"dist\.txt: .*'i j dist' triplets, got shape \(2, 2\)"),
+            ("0 -1\n-1 0\n", r"dist\.txt: .*'i j dist' triplets, got shape \(2, 2\)"),
+            ("0 inf\n-1 0\n", r"dist\.txt: .*'i j dist' triplets, got shape \(2, 2\)"),
+        ],
+        ids=["inf-pair", "one-inf", "largest-finite", "nan", "negative", "inf-and-negative"],
+    )
+    def test_dense_table_rule(self, tmp_path, text, pattern):
+        path = tmp_path / "dist.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if pattern is None:
+                assert read_distances(path).tolist() == [[0.0, 1e308], [1e308, 0.0]]
+                return
+            with pytest.raises(InputError, match=pattern):
+                read_distances(path)
 
     def test_triplet_distances(self, tmp_path):
         path = tmp_path / "trip.txt"
@@ -381,6 +426,12 @@ class TestDatasetInvariants:
         ds = Dataset("d", [0, 1, 0], distances=D)
         assert ds.distance_matrix.dtype == np.float64
         assert np.array_equal(ds.distance_matrix, np.array(D, dtype=np.float64))
+
+    @pytest.mark.parametrize("source", ["features", "distances"])
+    def test_label_count_must_match_rows(self, source):
+        data = {"features": np.zeros((4, 2)), "distances": np.zeros((4, 4))}
+        with pytest.raises(InputError, match=r"3 labels but 4 data rows in dataset 'x'"):
+            Dataset("x", [0, 1, 0], **{source: data[source]})
 
     def test_float_arrays_are_not_copied(self):
         X = np.zeros((3, 2))

@@ -61,6 +61,11 @@ class TestInitLabels:
         with pytest.raises(InputError):
             init_labels([(1, 0), (1, 1)], 3, 2)
 
+    @pytest.mark.parametrize("n, c", [(0, 2), (3, 0)])
+    def test_empty_shape_rejected(self, n, c):
+        with pytest.raises(ParameterError, match=f"need n >= 1 and c >= 1, got n={n}, c={c}"):
+            init_labels([], n, c)
+
     def test_class_out_of_range(self):
         with pytest.raises(InputError):
             init_labels([(0, 2)], 3, 2)
@@ -179,7 +184,85 @@ class TestWarmStart:
         assert np.abs(out - ref).max() < 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.sampled_from(["isotropic", "plain"]),
+    st.booleans(),
+)
+def test_one_step_keeps_its_input_range_isotropic_and_plain(seed, delta, variant, frozen):
+    # q <= 1 gives delta * rowsum_D(i) / d_i <= delta <= 1, so every entry of
+    # the step is a convex combination of its input's entries in that channel
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 50))
+    K = int(rng.integers(1, min(n - 1, 8) + 1))
+    _, g = random_knn_graph(rng, n, K)
+    f = rng.normal(scale=float(rng.uniform(0.1, 10.0)), size=(n, int(rng.integers(1, 4))))
+    # a linear run steps with a field frozen at another f
+    field_f = rng.normal(size=f.shape) if frozen else f
+    wd = variant_weights(g, field_f, float(rng.uniform(0.05, 2.0)), variant)
+    out = LaplacianOperator(g, wd).step(f, delta)
+    slack = 1e-12 * np.abs(f).max()
+    assert (out >= f.min(axis=0) - slack).all() and (out <= f.max(axis=0) + slack).all()
+
+
+def _warm_started_excursion(dataset, K, configs):
+    """How far f leaves its warm-started [min, max], per channel, in 200 steps.
+
+    The input is ``dataset`` ("two-moons" n=600, or blobs n=600, c=4,
+    separation 3, d=2) with the l=8 training split of seed 0.
+    """
+    from anisodiff.data import gaussian_blobs, split_labels, two_moons
+    from anisodiff.graph import build_knn_graph
+
+    ds = two_moons(600, 0.1, 0) if dataset == "two-moons" else gaussian_blobs(600, 4, 3.0, 2, 0)
+    train = split_labels(ds, 8, 0).train
+    state = init_labels(zip(train, ds.labels[train]), ds.n, ds.c)
+    g = build_knn_graph(ds.distance_matrix, K)
+    excursion = {}
+    for key, cfg in configs.items():
+        snaps = snapshots_at(DiffusionConfig(K=K, T=200, **cfg), g, state, range(201))
+        assert len(snaps) == 201, key  # no step diverged
+        lo, hi = snaps[0].min(axis=0), snaps[0].max(axis=0)
+        excursion[key] = max(max((lo - f).max(), (f - hi).max()) for f in snaps.values())
+    return excursion
+
+
+@pytest.mark.parametrize("K", [5, 10, 20])
+@pytest.mark.parametrize("dataset", ["two-moons", "blobs"])
+def test_smooth_keeps_the_warm_started_range(dataset, K):
+    configs = {
+        (mode, delta, sigma_f): dict(variant="smooth", mode=mode, delta=delta, sigma_f=sigma_f)
+        for mode in MODES
+        for delta in (0.5, 1.0)
+        for sigma_f in (0.05, 0.1, 0.5, 1.0)
+    }
+    excursion = _warm_started_excursion(dataset, K, configs)
+    assert max(excursion.values()) <= 1e-12, excursion
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP open item 1: the unguarded local-match step breaks the maximum "
+    "principle (its margin is 2K/(K+1) > 1); f grows to about 4e75, finite",
+)
+def test_local_match_keeps_the_warm_started_range():
+    excursion = _warm_started_excursion(
+        "blobs", 10, {"lm": dict(variant="local_match", mode="linear", delta=1.0, sigma_f=1.0)}
+    )
+    assert excursion["lm"] <= 1e-12, excursion
+
+
 class TestRunDiffusion:
+    def test_state_must_be_n_by_c(self):
+        rng = np.random.default_rng(46)
+        _, g = random_knn_graph(rng, 20, 3)
+        state = LabelState(np.zeros((20, 3)), np.zeros(20, dtype=bool), 2)
+        with pytest.raises(ParameterError, match=r"shape \(20, 3\) does not match graph n=20, c=2"):
+            run_diffusion(DiffusionConfig(K=3, T=1), g, state)
+
     def test_t0_warm0_returns_f0(self):
         rng = np.random.default_rng(46)
         _, g = random_knn_graph(rng, 20, 3)
@@ -549,6 +632,11 @@ class TestDecodeLabels:
 
     def test_all_zero_row(self):
         assert decode_labels(np.zeros((2, 3))).tolist() == [0, 0]
+
+    @pytest.mark.parametrize("f", [np.zeros(5), np.zeros((5, 0))], ids=["1-D", "no-classes"])
+    def test_not_n_by_c_rejected(self, f):
+        with pytest.raises(ParameterError, match="f must be \\(n, c\\) with c >= 1"):
+            decode_labels(f)
 
 
 class TestConfigValidation:

@@ -213,6 +213,11 @@ def test_q_per_edge_only(weights):
             weights(g, bad, *args)
 
 
+def test_unknown_variant_raises():
+    with pytest.raises(ParameterError, match="variant must be one of .* got 'bogus'"):
+        variant_weights(triangle_graph(), np.zeros((3, 1)), 0.5, "bogus")
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
 @pytest.mark.parametrize("weights", [plain_weights, smooth_weights, local_match_weights])
 def test_non_positive_diffusivity_raises(weights, bad):

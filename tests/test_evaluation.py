@@ -45,6 +45,10 @@ class TestErrorRate:
         truth = [0] * 9 + [1] * 3
         assert error_rate(pred, truth, list(range(12))) == 25.0
 
+    def test_prediction_shape_must_match_truth(self):
+        with pytest.raises(InputError, match=r"prediction shape \(3,\) != truth shape \(4,\)"):
+            error_rate([0, 1, 0], [0, 1, 0, 1], [0])
+
     def test_empty_indices_rejected(self):
         with pytest.raises(InputError):
             error_rate([0], [0], [])

@@ -2,6 +2,7 @@ import contextlib
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from anisodiff.graph import (
     knn_neighborhoods,
     pairwise_distances,
     validate_distances,
+    validate_features,
 )
 
 from oracles import (
@@ -373,6 +375,19 @@ class TestGaussianWeights:
 
 
 class TestGraphValidation:
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (np.ones((2, 3)), r"adjacency must be square, got \(2, 3\)"),
+            (np.zeros((3, 3)), "graph has no edges"),
+            (np.array([[0.0, np.nan], [np.nan, 0.0]]), "edge weights must be finite"),
+        ],
+        ids=["non-square", "empty", "nan-weight"],
+    )
+    def test_rejects_defect(self, weights, message):
+        with pytest.raises(ParameterError, match=message):
+            Graph(sp.csr_array(weights))
+
     def test_rejects_asymmetric_values(self):
         W = np.array([[0.0, 0.5, 0.0], [0.4, 0.0, 0.3], [0.0, 0.3, 0.0]])
         with pytest.raises(ParameterError):
@@ -592,6 +607,21 @@ class TestTripletExport:
             assert 0 < float(w) <= 1
 
 
+@pytest.mark.parametrize(
+    "features, message",
+    [
+        (np.zeros(4), r"features must be 2-D, got shape \(4,\)"),
+        (np.zeros((1, 2)), r"need n >= 2 points and d >= 1 columns, got \(1, 2\)"),
+        (np.zeros((3, 0)), r"need n >= 2 points and d >= 1 columns, got \(3, 0\)"),
+        (np.array([[0.0, 1.0], [np.inf, 0.0]]), "features contain non-finite entries"),
+    ],
+    ids=["1-D", "one-point", "no-columns", "inf"],
+)
+def test_validate_features_rejects(features, message):
+    with pytest.raises(ParameterError, match=message):
+        validate_features(features)
+
+
 class TestValidateDistances:
     def test_rejects_asymmetric(self):
         D = np.array([[0.0, 1.0], [1.1, 0.0]])
@@ -637,6 +667,27 @@ class TestValidateDistances:
         D[20, 280] = np.nextafter(DISTANCE_SYMMETRY_TOL, 1.0)
         with pytest.raises(ParameterError, match="asymmetric"):
             validate_distances(D)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({(0, 2): np.inf}, "non-finite"),
+            ({(2, 2): np.inf}, "non-finite"),
+            ({(0, 2): np.inf, (2, 0): np.inf}, "non-finite"),
+            # finite, but their difference overflows to inf
+            ({(0, 2): 1e308, (2, 0): -1e308}, "negative"),
+            ({(0, 2): np.inf, (1, 2): -1.0, (2, 1): -1.0}, "negative"),
+        ],
+        ids=["lone-inf", "inf-diagonal", "inf-pair", "overflowing-pair", "inf-and-negative"],
+    )
+    def test_error_precedence(self, entries, message):
+        D = dist_from_points([0.0, 1.0, 3.0])
+        for ij, value in entries.items():
+            D[ij] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning before the error
+            with pytest.raises(ParameterError, match=message):
+                validate_distances(D)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_reported_before_negative(self, bad):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -30,6 +32,21 @@ def test_run_two_moons(tmp_path):
     assert lines[0].startswith("n=60 ")
     assert len(lines) == 7 and all("error" in ln for ln in lines[1:])
     assert len(trace.read_text().splitlines()) == 6  # t = 0 .. T
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--classes", 4, "--separation", 3], "--classes applies to --dataset blobs only"),
+        (["--dataset", "blobs", "--noise", 0.5], "--noise applies to --dataset two-moons only"),
+    ],
+)
+def test_benchmark_variants_rejects_the_other_datasets_flags(tmp_path, extra, message):
+    out = tmp_path / "report"
+    proc = run_script("benchmark_variants.py", "--n", 60, "--seeds", 0, "--out", out, *extra)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_benchmark_variants(tmp_path):
