@@ -247,7 +247,8 @@ def read_distances(path) -> np.ndarray:
     # the minimum is NaN if any entry is, so a NaN table is not read densely
     lo, asym = _scan_distances(table) if table.shape[0] == table.shape[1] else (np.nan, 0)
     if lo >= 0 and not np.diagonal(table).any():
-        if asym > DISTANCE_SYMMETRY_TOL:
+        # an infinite asymmetry is an infinite entry, which the checks reject
+        if DISTANCE_SYMMETRY_TOL < asym < np.inf:
             warnings.warn(
                 f"{path}: distances asymmetric by {asym:.3e}; averaging",
                 stacklevel=2,

@@ -33,9 +33,6 @@ DISTANCE_SYMMETRY_TOL = 1e-12
 # than n x n
 _BLOCK_ROWS = 128
 _SYMMETRY_STRIP_ROWS = 64
-# knn_neighborhoods orders the candidates of this many entries at a time,
-# which is every row at once unless K approaches n
-_ORDER_ENTRIES = 2**18
 
 
 class ConnectivityWarning(UserWarning):
@@ -436,23 +433,15 @@ def knn_neighborhoods(dist, K: int) -> np.ndarray:
 
     _split_rows(select, n, _BLOCK_ROWS)
     out = np.empty((n, K), dtype=np.int64)
-    step = max(1, _ORDER_ENTRIES // (K + 1))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        # the candidates ordered by (distance, index)
-        cand[rows].sort(axis=1)
-        dist = np.take_along_axis(D[rows], cand[rows], axis=1)
-        order = np.take_along_axis(cand[rows], np.argsort(dist, axis=1, kind="stable"), axis=1)
-        ties = np.flatnonzero(tied[rows])
-        for t in range(0, len(ties), _BLOCK_ROWS):
-            r = ties[t : t + _BLOCK_ROWS]
-            order[r] = np.argsort(D[start + r], axis=1, kind="stable")[:, : K + 1]
-        # the zero diagonal puts self among the K + 1 unless more than K
-        # duplicates precede it; stably moving it last leaves the others in
-        # the order an infinite diagonal gives
-        is_self = order == np.arange(start, start + len(order))[:, None]
-        order = np.take_along_axis(order, np.argsort(is_self, axis=1, kind="stable"), axis=1)
-        out[rows] = order[:, :K]
+    for a in range(0, n, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, n)
+        c = cand[a:b]
+        ties = a + np.flatnonzero(tied[a:b])
+        cand[ties] = np.argsort(D[ties], axis=1, kind="stable")[:, : K + 1]
+        # self last, then by (distance, index): the order an infinite diagonal
+        # gives; self is a candidate unless over K duplicates precede it
+        keys = (c, np.take_along_axis(D[a:b], c, axis=1), c == np.arange(a, b)[:, None])
+        out[a:b] = np.take_along_axis(c, np.lexsort(keys, axis=1)[:, :K], axis=1)
     return out
 
 
@@ -481,25 +470,20 @@ def gaussian_weights(dist, sigma_x: float, neighborhoods) -> Graph:
     """Graph with w_jk = exp(-dist(j,k)^2 / sigma_x) on the kNN union.
 
     An edge (j, k) exists when j is in the kNN list of k or vice versa.
-    Weights are evaluated once per undirected pair, so symmetry is exact.
+    Both directions of a pair read D at (min, max), so symmetry is exact.
     """
     if not sigma_x > 0:
         raise ParameterError(f"sigma_x must be positive, got {sigma_x}")
     D, nbrs = _distances_and_lists(dist, neighborhoods)
     n, K = nbrs.shape
-    r = np.repeat(np.arange(n, dtype=np.int64), K)
-    c = nbrs.ravel()
-    pattern = sp.coo_array((np.ones(n * K), (r, c)), shape=(n, n)).tocsr()
-    union = pattern.maximum(pattern.T).tocoo()
-    keep = union.row < union.col
-    ui, uj = union.row[keep], union.col[keep]
-    d = D[ui, uj]
-    w = np.exp(-(d * d) / sigma_x)
-    w = np.maximum(w, TINY)  # keep (0, 1] under underflow
-    W = sp.coo_array(
-        (np.concatenate([w, w]), (np.concatenate([ui, uj]), np.concatenate([uj, ui]))),
-        shape=(n, n),
-    ).tocsr()
+    # the union pattern P + P^T of the lists in one CSR; a listed self enters
+    # P as 0, and the sum stores no zero
+    off_self = (nbrs != np.arange(n)[:, None]).ravel().astype(np.float64)
+    P = sp.csr_array((off_self, nbrs.ravel(), np.arange(0, n * K + 1, K)), shape=(n, n))
+    W = P + P.T
+    i, j = np.repeat(np.arange(n), np.diff(W.indptr)), W.indices
+    d = D[np.minimum(i, j), np.maximum(i, j)]
+    W.data = np.maximum(np.exp(-(d * d) / sigma_x), TINY)  # keep (0, 1] under underflow
     return Graph(W, neighborhoods=nbrs)
 
 

@@ -294,8 +294,9 @@ class TestFileFormats:
     def test_dense_table_rule(self, tmp_path, text, pattern):
         path = tmp_path / "dist.txt"
         path.write_text(text)
+        # a table that is rejected, or read as it is, warns of no averaging
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             if pattern is None:
                 assert read_distances(path).tolist() == [[0.0, 1e308], [1e308, 0.0]]
                 return

@@ -157,17 +157,20 @@ class TestKnnAcrossBlocks:
         self.check(D, (1, 10, 300, 599))
 
 
-def test_build_knn_graph_memory_is_below_the_distance_matrix():
-    # graph set-up may keep a few row blocks, never an n x n temporary;
-    # tracemalloc sees numpy's allocations
+@pytest.mark.parametrize("K, bound", [(10, 0.25), (200, 1.6)])
+def test_build_knn_graph_memory_is_below_the_distance_matrix(K, bound):
+    # graph set-up may keep a few row blocks, never an n x n temporary, and
+    # otherwise arrays that grow with the n * K kNN entries: at K = 200 the
+    # union holds up to 2nK = 0.2 n^2 entries, each read through a few
+    # index arrays; tracemalloc sees numpy's allocations
     D = pairwise_distances(np.random.default_rng(0).normal(size=(2000, 2)))
     tracemalloc.start()
     try:
-        build_knn_graph(D, 10)
+        build_knn_graph(D, K)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.25 * D.nbytes
+    assert peak < bound * D.nbytes
 
 
 @contextlib.contextmanager
@@ -366,6 +369,29 @@ class TestGaussianWeights:
             _, g = random_knn_graph(rng, n, 7)
             W = g.weights.toarray()
             assert np.abs(W.sum(axis=1) - g.degrees).max() < 1e-12
+
+    def test_both_directions_read_the_upper_entry(self):
+        # D[j, i] differs from D[i, j] on a kNN pair, within the tolerance:
+        # both stored directions take the weight of D[min, max], bitwise
+        D = pairwise_distances(np.random.default_rng(12).normal(size=(50, 2)))
+        nbrs = knn_neighborhoods(D, 4)
+        i, j = sorted((7, int(nbrs[7, 0])))
+        D[j, i] = D[i, j] + 5e-13
+        validate_distances(D)  # asymmetric within the tolerance
+        assert D[j, i] != D[i, j]
+        sigma = auto_sigma_x(D, nbrs)
+        g = gaussian_weights(D, sigma, nbrs)
+        d = D[[i, j], [j, i]]
+        upper, lower = np.maximum(np.exp(-(d * d) / sigma), graph_mod.TINY)
+        assert upper != lower
+        assert g.weights[i, j] == g.weights[j, i] == upper
+
+    def test_a_listed_self_adds_no_edge(self):
+        # a caller's lists may name the node itself; the graph then holds
+        # the union of the other entries and no self loop
+        D = dist_from_points([0.0, 1.0, 2.0, 3.0])
+        g = gaussian_weights(D, 1.0, [[0], [0], [1], [2]])
+        assert g.weights.nnz == 6 and not g.weights.diagonal().any()
 
     def test_bad_sigma(self):
         D = dist_from_points([0.0, 1.0])
