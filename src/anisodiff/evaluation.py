@@ -27,11 +27,13 @@ from .errors import DivergenceError, InputError, ParameterError, UnlabeledCompon
 from .graph import build_knn_graph, usable_cpus
 
 # method -> (variant, mode, cost factor).  The factor is the relative cost of
-# one sigma_f column per stored graph entry and step, and for GRF of its
+# one full sigma_f column per stored graph entry and step, and for GRF of its
 # sparse solve per stored entry.  Slice times on two-moons n=600 (default
-# grid, one seed), as multiples of I's at the same K (K = 5, 10, 20): A_lin
-# 0.96-1.03, A_nlin 2.4-3.4, A_S 4.3-9.7, A_LM 10-37, and GRF 37-84 per
-# entry.  The shares only need the slices' costs roughly right.
+# grid, one seed, every column run), as multiples of I's at the same K
+# (K = 5, 10, 20): A_lin 0.96-1.03, A_nlin 2.4-3.4, A_S 4.3-9.7, A_LM 10-37,
+# and GRF 37-84 per entry.  grid_search skips the cells that cannot win, so
+# _slice_cost is an upper bound; the shares only need the slices' costs
+# roughly right.
 _METHODS = {
     "I": ("isotropic", "linear", 1.0),
     "A_lin": ("plain", "linear", 1.0),
@@ -109,36 +111,48 @@ def grid_search(
     equivalent to independent runs because a shorter run is a prefix of a
     longer one.  ``labels`` is the decoded prediction of the selected cell,
     or None when that cell diverged.
+
+    No error is below 0, so a cell whose key (0, T, K, sigma_f) does not
+    come before the best key so far cannot win and is skipped: a column runs
+    only to its largest T that could still win, or not at all, and a K none
+    of whose columns runs builds no graph.  This fires once a cell scores 0;
+    K and sigma_f are visited in ascending order, so such a cell skips the
+    most.  The selection is that of the full grid.
     """
     y = dataset.labels
     best = None  # (cell key, config, labels)
     T_values = sorted(map(int, grid.T_values))
-    # the isotropic variant ignores sigma_f; evaluate a single column
-    sigmas = grid.sigma_f_values[:1] if grid.variant == "isotropic" else grid.sigma_f_values
+    # the isotropic variant ignores sigma_f; evaluate a single column, at
+    # the first given value, which its selection reports
+    sigmas = grid.sigma_f_values[:1] if grid.variant == "isotropic" else sorted(grid.sigma_f_values)
+    sigmas = list(map(float, sigmas))
     state = init_labels(zip(split.train, y[split.train]), dataset.n, dataset.c)
     graphs = {} if graph_cache is None else graph_cache
-    for K in map(int, grid.K_values):
-        if K not in graphs:
-            graphs[K] = build_knn_graph(dataset.distance_matrix, K)
-        graph = graphs[K]
+    for K in sorted(map(int, grid.K_values)):
         for sigma_f in sigmas:
+            # the T whose cell could still win
+            todo = [T for T in T_values if best is None or (0.0, T, K, sigma_f) < best[0]]
+            if not todo:
+                continue
+            if K not in graphs:
+                graphs[K] = build_knn_graph(dataset.distance_matrix, K)
             config = DiffusionConfig(
                 K=K,
-                T=max(T_values),
-                sigma_f=float(sigma_f),
+                T=max(todo),
+                sigma_f=sigma_f,
                 delta=delta,
                 warm_start_steps=warm_start_steps,
                 variant=grid.variant,
                 mode=grid.mode,
             )
-            snaps = snapshots_at(config, graph, state, T_values)
-            for T in T_values:
+            snaps = snapshots_at(config, graphs[K], state, todo)
+            for T in todo:
                 if T in snaps:
                     labels = decode_labels(snaps[T])
                     err = error_rate(labels, y, split.validation)
                 else:  # diverged before reaching T
                     labels, err = None, 100.0
-                key = (err, T, K, float(sigma_f))
+                key = (err, T, K, sigma_f)
                 if best is None or key < best[0]:
                     best = (key, replace(config, T=T), labels)
     (err, *_), config, labels = best
@@ -299,7 +313,9 @@ def benchmark(
     is the mean over seeds of the summed wall time of a seed's slices, each
     timed in the process that ran it, so a slice's time includes the
     structures it is the first to read; timing lives outside the
-    deterministic report fields.
+    deterministic report fields.  A slice is one :func:`grid_search`, which
+    skips the cells that cannot win, so ``mean_seconds`` times that pruned
+    search, and the shares are balanced by the cost of every cell.
     """
     methods = list(methods)
     if not methods:

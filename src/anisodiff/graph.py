@@ -144,7 +144,8 @@ def _scan_distances(D):
 
 
 def validate_neighborhoods(neighborhoods, n: int) -> np.ndarray:
-    """Check (n, K) kNN index lists: K >= 1 and every entry in [0, n)."""
+    """Check (n, K) kNN index lists: K >= 1, every entry in [0, n), and no
+    list naming its own node or any node twice."""
     try:
         nbrs = np.asarray(neighborhoods)
     except ValueError:
@@ -159,6 +160,11 @@ def validate_neighborhoods(neighborhoods, n: int) -> np.ndarray:
         raise ParameterError("kNN lists must hold K >= 1 neighbors per node")
     if ((nbrs < 0) | (nbrs >= n)).any():
         raise ParameterError(f"kNN list entries must lie in [0, {n})")
+    if (nbrs == np.arange(n)[:, None]).any():
+        raise ParameterError("kNN lists must not name their own node")
+    # a sort of each row puts a repeated entry next to itself
+    if (np.diff(np.sort(nbrs, axis=1), axis=1) == 0).any():
+        raise ParameterError("kNN lists must not name a node twice")
     return nbrs
 
 
@@ -476,10 +482,8 @@ def gaussian_weights(dist, sigma_x: float, neighborhoods) -> Graph:
         raise ParameterError(f"sigma_x must be positive, got {sigma_x}")
     D, nbrs = _distances_and_lists(dist, neighborhoods)
     n, K = nbrs.shape
-    # the union pattern P + P^T of the lists in one CSR; a listed self enters
-    # P as 0, and the sum stores no zero
-    off_self = (nbrs != np.arange(n)[:, None]).ravel().astype(np.float64)
-    P = sp.csr_array((off_self, nbrs.ravel(), np.arange(0, n * K + 1, K)), shape=(n, n))
+    # the union pattern P + P^T of the lists in one CSR
+    P = sp.csr_array((np.ones(n * K), nbrs.ravel(), np.arange(0, n * K + 1, K)), shape=(n, n))
     W = P + P.T
     i, j = np.repeat(np.arange(n), np.diff(W.indptr)), W.indices
     d = D[np.minimum(i, j), np.maximum(i, j)]

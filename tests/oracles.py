@@ -9,8 +9,9 @@ transpose, ``min_cross_sqdist_blocked`` is the undeduplicated local-match kernel
 structures by per-node and per-edge loops over the CSR arrays,
 ``smooth_weights_directed`` evaluates the smooth field on every stored
 direction and averages the pair, ``trajectory_rebuild`` runs the diffusion
-loop with a fresh operator and the energy on every step, and
-``benchmark_rerun_errors`` reruns each selected benchmark cell on its own.
+loop with a fresh operator and the energy on every step,
+``benchmark_rerun_errors`` reruns each selected benchmark cell on its own,
+and ``grid_search_exhaustive`` scores every grid cell, skipping none.
 """
 
 import math
@@ -348,3 +349,49 @@ def benchmark_rerun_errors(dataset, report, *, delta=1.0, warm_start_steps=20):
             errors.append(100.0 * wrong / len(split.test))
         out[row.method] = tuple(errors)
     return out
+
+
+def grid_search_exhaustive(
+    grid, dataset, split, *, delta=1.0, warm_start_steps=20, graph_cache=None
+):
+    """Every (K, T, sigma_f) cell scored, none skipped: (config, error, labels).
+
+    The selection rule of ``evaluation.grid_search``: the least key
+    (validation error, T, K, sigma_f), a cell whose run diverged scoring 100
+    with labels None, and for the isotropic variant one column at the first
+    given sigma_f.  Each (K, sigma_f) column reads all its T values off one
+    ``snapshots_at`` trajectory, run to the largest T.
+    """
+    from dataclasses import replace
+
+    from anisodiff.diffusion import DiffusionConfig, decode_labels, init_labels, snapshots_at
+    from anisodiff.graph import build_knn_graph
+
+    y = dataset.labels
+    state = init_labels(zip(split.train, y[split.train]), dataset.n, dataset.c)
+    graphs = {} if graph_cache is None else graph_cache
+    sigmas = grid.sigma_f_values[:1] if grid.variant == "isotropic" else grid.sigma_f_values
+    cells = []
+    for K in map(int, grid.K_values):
+        if K not in graphs:
+            graphs[K] = build_knn_graph(dataset.distance_matrix, K)
+        for sigma_f in map(float, sigmas):
+            config = DiffusionConfig(
+                K=K,
+                T=max(grid.T_values),
+                sigma_f=sigma_f,
+                delta=delta,
+                warm_start_steps=warm_start_steps,
+                variant=grid.variant,
+                mode=grid.mode,
+            )
+            snaps = snapshots_at(config, graphs[K], state, grid.T_values)
+            for T in map(int, grid.T_values):
+                labels, err = None, 100.0
+                if T in snaps:
+                    labels = decode_labels(snaps[T])
+                    wrong = np.count_nonzero(labels[split.validation] != y[split.validation])
+                    err = 100.0 * wrong / len(split.validation)
+                cells.append(((err, T, K, sigma_f), replace(config, T=T), labels))
+    (err, *_), config, labels = min(cells, key=lambda cell: cell[0])
+    return config, err, labels

@@ -22,7 +22,7 @@ from anisodiff.evaluation import (
 )
 from anisodiff.graph import Graph, build_knn_graph
 
-from oracles import BENCHMARK_METHODS, benchmark_rerun_errors
+from oracles import BENCHMARK_METHODS, benchmark_rerun_errors, grid_search_exhaustive
 
 
 @contextlib.contextmanager
@@ -160,6 +160,100 @@ class TestGridSearch:
         config, err, _ = grid_search(grid, ds, split, delta=1000.0)
         assert err == 100.0
         assert config.T == 400
+
+
+class TestPrunedSearch:
+    """Skipping the cells that cannot win selects what the full grid selects."""
+
+    # every cell of these blobs scores 0 unless its run goes wrong
+    SEPARATED = gaussian_blobs(60, 2, 20.0, 2, seed=1)
+
+    @staticmethod
+    def assert_full_grid(grid, ds, split, **kwargs):
+        config, err, labels = grid_search(grid, ds, split, **kwargs)
+        full_config, full_err, full_labels = grid_search_exhaustive(grid, ds, split, **kwargs)
+        assert (config, err) == (full_config, full_err)
+        assert labels is not None and np.array_equal(labels, full_labels)
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """(K, sigma_f, steps) of every snapshots_at call, and every K built."""
+        columns, builds = [], []
+        snapshots_at, build = evaluation.snapshots_at, evaluation.build_knn_graph
+
+        def counted_snapshots(config, graph, state, steps):
+            columns.append((config.K, config.sigma_f, tuple(steps)))
+            return snapshots_at(config, graph, state, steps)
+
+        def counted_build(dist, K):
+            builds.append(K)
+            return build(dist, K)
+
+        monkeypatch.setattr(evaluation, "snapshots_at", counted_snapshots)
+        monkeypatch.setattr(evaluation, "build_knn_graph", counted_build)
+        # the calls are counted in this process, so nothing may run in a child
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: 1)
+        return columns, builds
+
+    @pytest.mark.parametrize("variant, mode", BENCHMARK_METHODS.values(), ids=BENCHMARK_METHODS)
+    @pytest.mark.parametrize(
+        "dataset", [SEPARATED, two_moons(80, 0.2, seed=12)], ids=["separated", "noisy"]
+    )
+    def test_unsorted_grids(self, dataset, variant, mode):
+        grid = GridSpec(
+            K_values=(6, 3),
+            T_values=(20, 5),
+            sigma_f_values=(1.0, 0.05, 0.2),
+            variant=variant,
+            mode=mode,
+        )
+        self.assert_full_grid(grid, dataset, split_labels(dataset, 4, seed=1))
+
+    # the diverging runs overflow on their way to inf
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_later_columns_that_diverge(self, monkeypatch):
+        # at delta=1000 the smooth columns at K=3 diverge between T=20 and
+        # T=400 (100 there), and sigma_f=0.2 scores 0 at T=20, after which
+        # every column runs to T=5 only
+        grid = GridSpec(
+            K_values=(6, 3),
+            T_values=(400, 5, 20),
+            sigma_f_values=(5.0, 0.2, 0.01, 1.0, 0.05),
+            variant="smooth",
+            mode="nonlinear",
+        )
+        split = split_labels(self.SEPARATED, 4, seed=1)
+        self.assert_full_grid(grid, self.SEPARATED, split, delta=1000.0, warm_start_steps=0)
+        columns, _ = self.count_calls(monkeypatch)
+        grid_search(grid, self.SEPARATED, split, delta=1000.0, warm_start_steps=0)
+        assert [steps for *_, steps in columns] == [(5, 20, 400)] * 3 + [(5,)] * 7
+
+    def test_a_dominated_K_builds_no_graph(self, monkeypatch):
+        # the grid of test_tie_prefers_smaller_t_then_k_then_sigma: its first
+        # cell, K=3, sigma_f=0.1 at T=10, scores 0 and comes before all others
+        columns, builds = self.count_calls(monkeypatch)
+        grid = GridSpec(K_values=(7, 3), T_values=(50, 10), sigma_f_values=(0.5, 0.1))
+        config, err, _ = grid_search(grid, self.SEPARATED, split_labels(self.SEPARATED, 4, seed=1))
+        assert (err, config.T, config.K, config.sigma_f) == (0.0, 10, 3, 0.1)
+        assert builds == [3] and columns == [(3, 0.1, (10, 50))]
+
+    @pytest.mark.parametrize(
+        "dataset, train_labels, seed, columns",
+        [
+            # every slice's first column scores 0 at T=10: one column per slice
+            (two_moons(600, 0.1, seed=1), 4, 1, 9),
+            # no cell scores 0, so every column of the 9 slices runs
+            (gaussian_blobs(600, 4, 3.0, 2, 0), 8, 0, 45),
+        ],
+        ids=["moons600", "blobs600"],
+    )
+    def test_benchmark_columns(self, monkeypatch, dataset, train_labels, seed, columns):
+        counted, _ = self.count_calls(monkeypatch)
+        benchmark(dataset, ["A_lin", "A_nlin", "A_S"], [seed], GridSpec(), train_labels=train_labels)
+        assert len(counted) == columns
+        # a slice visits sigma_f in ascending order, each column to T=200
+        first = [sigma_f for _, sigma_f, _ in counted[:: columns // 9]]
+        assert first == [0.05] * 9 and all(steps[-1] == 200 for *_, steps in counted)
 
 
 class TestGridSpecValidation:
@@ -380,7 +474,8 @@ class TestParallelBenchmark:
         assert not multiprocessing.active_children()
 
     def test_selection_is_the_full_grid_search(self, noisy, reports):
-        # the least of the per-K slice minima is the cell one search over every K picks
+        # the least of the per-K slice minima is the cell one unpruned search
+        # over every K picks
         y = noisy.labels
         graphs = {K: build_knn_graph(noisy.distance_matrix, K) for K in self.GRID.K_values}
         cells = set()
@@ -397,7 +492,7 @@ class TestParallelBenchmark:
                 else:
                     variant, mode = BENCHMARK_METHODS[row.method]
                     grid = replace(self.GRID, variant=variant, mode=mode)
-                    config, _, _ = grid_search(grid, noisy, split, graph_cache=graphs)
+                    config, _, _ = grid_search_exhaustive(grid, noisy, split, graph_cache=graphs)
                     assert cell == f"K:{config.K};T:{config.T};sigma_f:{config.sigma_f:.17g}"
                 cells.add(cell)
         assert len({cell.split(";")[0] for cell in cells}) == 2  # both K values win somewhere

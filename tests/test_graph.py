@@ -386,12 +386,12 @@ class TestGaussianWeights:
         assert upper != lower
         assert g.weights[i, j] == g.weights[j, i] == upper
 
-    def test_a_listed_self_adds_no_edge(self):
-        # a caller's lists may name the node itself; the graph then holds
-        # the union of the other entries and no self loop
+    def test_a_listed_self_is_rejected(self):
+        # node 0's list names node 0: it would add no edge, and the graph's
+        # kNN positions could not find it
         D = dist_from_points([0.0, 1.0, 2.0, 3.0])
-        g = gaussian_weights(D, 1.0, [[0], [0], [1], [2]])
-        assert g.weights.nnz == 6 and not g.weights.diagonal().any()
+        with pytest.raises(ParameterError, match="own node"):
+            gaussian_weights(D, 1.0, [[0], [0], [1], [2]])
 
     def test_bad_sigma(self):
         D = dist_from_points([0.0, 1.0])
@@ -568,6 +568,9 @@ class TestNeighborhoodValidation:
         "no_neighbors": np.empty((4, 0), dtype=np.int64),
         "ragged": [[1], [2, 3], [1], [2]],
         "fractional": [[1.5], [2.0], [1.0], [2.0]],
+        # node 0 lists itself; node 0 lists node 1 twice
+        "names_itself": [[0], [0], [1], [2]],
+        "repeated_entry": [[1, 1], [0, 2], [1, 3], [2, 1]],
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_LISTS))
