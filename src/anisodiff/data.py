@@ -193,6 +193,8 @@ def _read_table(path) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             parts = line.replace(",", " ").split()
+            if not parts:
+                raise InputError(f"{path}:{lineno}: a row of only delimiters holds no values")
             if width is None:
                 width = len(parts)
             elif len(parts) != width:
@@ -215,6 +217,10 @@ def _node_indices(path, columns):
         raise InputError(
             f"{path}: node index {float(columns[fractional][0])} is not an integer"
         )
+    # an int64 cast would wrap these round
+    large = np.abs(columns) >= 2.0**63
+    if large.any():
+        raise InputError(f"{path}: node index {columns[large][0]:g} exceeds the int64 range")
     idx = columns.astype(np.int64)
     n = int(idx.max()) + 1
     if idx.min() < 0:
@@ -292,8 +298,9 @@ def read_label_pairs(path):
         raise InputError(
             f"{path}: expected 'index class' lines, got {table.shape[1]} columns"
         )
-    if (np.mod(table, 1) != 0).any() or (table < 0).any():
-        raise InputError(f"{path}: indices and classes must be integers >= 0")
+    # values of 2**63 and above would wrap round in the int64 cast
+    if (np.mod(table, 1) != 0).any() or (table < 0).any() or (table >= 2.0**63).any():
+        raise InputError(f"{path}: indices and classes must be integers >= 0 and < 2**63")
     idx, cls = table.astype(np.int64).T
     if len(np.unique(idx)) != len(idx):
         raise InputError(f"{path}: duplicate indices")

@@ -138,7 +138,7 @@ def _trajectory(
         raise ParameterError(
             f"label state shape {f.shape} does not match graph n={graph.n}, c={state.c}"
         )
-    nbrs = graph.neighborhoods  # None for an edge-list graph, which carries no K
+    nbrs = graph.neighborhoods  # None for a Graph(W) made without kNN lists
     if nbrs is not None and nbrs.shape[1] != config.K:
         raise ParameterError(f"config K={config.K} does not match the graph's K={nbrs.shape[1]}")
     if not state.labeled_mask.any():

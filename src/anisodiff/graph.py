@@ -50,9 +50,10 @@ def usable_cpus() -> int:
 def _split_rows(work, n: int, block_rows: int) -> list:
     """Run ``work(blocks)`` in one thread per usable CPU, the calling one included.
 
-    Every thread's ``blocks`` iterates over one shared queue of the row
-    blocks [start, stop) of n rows, so a thread slowed by other load takes
-    fewer of them.  Returns each thread's result, the calling thread's
+    Every thread's ``blocks`` pulls the row blocks [start, stop) of n rows
+    from one shared queue until it meets one of the stop marks queued
+    behind them, one per thread, so a thread slowed by other load takes
+    fewer blocks.  Returns each thread's result, the calling thread's
     first.  Every thread is joined before this returns, and an exception
     raised in any thread is raised here.  ``work`` must make only large
     numpy or scipy calls, which release the GIL, and call no function of
@@ -61,22 +62,17 @@ def _split_rows(work, n: int, block_rows: int) -> list:
     # imported here, so the package's import does not load it
     from concurrent.futures import ThreadPoolExecutor
 
+    starts = range(0, n, block_rows)
+    threads = max(1, min(usable_cpus(), len(starts)))
     todo = queue.SimpleQueue()
-    for start in range(0, n, block_rows):
+    for start in starts:
         todo.put((start, min(start + block_rows, n)))
-
-    def blocks():
-        while True:
-            try:
-                yield todo.get_nowait()
-            except queue.Empty:
-                return
-
-    threads = min(usable_cpus(), todo.qsize())
+    for _ in range(threads):
+        todo.put(None)
     # leaving the with block joins the pool's threads
     with ThreadPoolExecutor(max(1, threads - 1)) as pool:
-        futures = [pool.submit(work, blocks()) for _ in range(threads - 1)]
-        first = work(blocks())
+        futures = [pool.submit(work, iter(todo.get, None)) for _ in range(threads - 1)]
+        first = work(iter(todo.get, None))
     return [first] + [future.result() for future in futures]
 
 
@@ -186,8 +182,8 @@ class Graph:
 
     Weights lie in (0, 1], there are no self loops, and w_ij == w_ji exactly.
     ``neighborhoods`` holds the (n, K) kNN index lists when the graph was
-    built from kNN construction; graphs loaded from edge lists carry None and
-    cannot drive the neighborhood-context diffusivities.  ``components``
+    built from kNN construction; a graph made as ``Graph(W)`` carries None
+    and cannot drive the neighborhood-context diffusivities.  ``components``
     holds the connected-component label of every node.
 
     Instances are treated as immutable and may be shared across threads.
@@ -427,7 +423,6 @@ def knn_neighborhoods(dist, K: int) -> np.ndarray:
     # stable sort unless more entries share the cutoff distance, the (K+1)-th
     # smallest, and such tied rows take the stable sort itself
     cand = np.empty((n, K + 1), dtype=np.int64)
-    tied = np.empty(n, dtype=bool)
 
     def select(blocks):
         for a, b in blocks:
@@ -435,20 +430,14 @@ def knn_neighborhoods(dist, K: int) -> np.ndarray:
             cand[a:b] = part[:, : K + 1]
             cutoff = np.take_along_axis(D[a:b], part[:, K : K + 1], axis=1)
             del part  # before the next block's, so a thread holds one at a time
-            tied[a:b] = np.count_nonzero(D[a:b] <= cutoff, axis=1) > K + 1
+            ties = a + np.flatnonzero(np.count_nonzero(D[a:b] <= cutoff, axis=1) > K + 1)
+            cand[ties] = np.argsort(D[ties], axis=1, kind="stable")[:, : K + 1]
 
     _split_rows(select, n, _BLOCK_ROWS)
-    out = np.empty((n, K), dtype=np.int64)
-    for a in range(0, n, _BLOCK_ROWS):
-        b = min(a + _BLOCK_ROWS, n)
-        c = cand[a:b]
-        ties = a + np.flatnonzero(tied[a:b])
-        cand[ties] = np.argsort(D[ties], axis=1, kind="stable")[:, : K + 1]
-        # self last, then by (distance, index): the order an infinite diagonal
-        # gives; self is a candidate unless over K duplicates precede it
-        keys = (c, np.take_along_axis(D[a:b], c, axis=1), c == np.arange(a, b)[:, None])
-        out[a:b] = np.take_along_axis(c, np.lexsort(keys, axis=1)[:, :K], axis=1)
-    return out
+    # self last, then by (distance, index): the order an infinite diagonal
+    # gives; self is a candidate unless over K duplicates precede it
+    keys = (cand, np.take_along_axis(D, cand, axis=1), cand == np.arange(n)[:, None])
+    return np.take_along_axis(cand, np.lexsort(keys, axis=1)[:, :K], axis=1)
 
 
 def _distances_and_lists(dist, neighborhoods):

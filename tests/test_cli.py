@@ -488,6 +488,24 @@ class TestExitCodeRule:
         assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
         assert not paths["out"].exists()
 
+    @pytest.mark.parametrize(
+        "flag, contents, message",
+        [
+            ("--features", ",\n", ":1: a row of only delimiters holds no values"),
+            ("--truth", "0 0\n1e20 1\n", ": indices and classes must be integers >= 0 and < 2**63"),
+        ],
+        ids=["features-delimiters", "truth-beyond-int64"],
+    )
+    def test_unreadable_table_runtime_error(self, paths, capsys, flag, contents, message):
+        bad = paths["out"].parent / "bad.txt"
+        bad.write_text(contents)
+        args = [str(a).format(**paths) for a in _BASE["propagate"] + [flag, bad]]
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}{message}")
+        assert "Traceback" not in err
+        assert not paths["out"].exists()
+
 
 class TestDefaults:
     """Every flag default is read from DiffusionConfig or GridSpec."""

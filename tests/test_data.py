@@ -209,6 +209,21 @@ class TestFileFormats:
         with pytest.raises(InputError, match=r"ragged\.txt:2"):
             read_features(path)
 
+    @pytest.mark.parametrize(
+        "text, pattern",
+        [
+            (",\n", r"features\.txt:1: a row of only delimiters holds no values"),
+            ("# header\n , ,\n1 2\n", r"features\.txt:2: a row of only delimiters"),
+            ("1 2\n,\n", r"features\.txt:2: a row of only delimiters"),
+        ],
+        ids=["delimiters-first", "delimiters-after-comment", "delimiters-later"],
+    )
+    def test_feature_table_rejections(self, tmp_path, text, pattern):
+        path = tmp_path / "features.txt"
+        path.write_text(text)
+        with pytest.raises(InputError, match=pattern):
+            read_features(path)
+
     def test_labels_round_trip_and_remap(self, tmp_path):
         path = tmp_path / "labels.txt"
         write_labels(np.array([5, 7, 5]), path)
@@ -227,8 +242,12 @@ class TestFileFormats:
         [
             ("0 1 0\n", r"labels\.txt: expected 'index class' lines, got 3 columns"),
             ("0 0.5\n", r"labels\.txt: indices and classes must be integers >= 0"),
+            (",\n", r"labels\.txt:1: a row of only delimiters holds no values"),
+            # an int64 cast would wrap these round
+            ("0 1\n1e20 1\n", r"labels\.txt: indices and classes must be .* < 2\*\*63"),
+            ("0 1\n1 9.3e18\n", r"labels\.txt: indices and classes must be .* < 2\*\*63"),
         ],
-        ids=["three-columns", "fractional-class"],
+        ids=["three-columns", "fractional-class", "delimiters", "large-index", "large-class"],
     )
     def test_label_pairs_rejections(self, tmp_path, text, pattern):
         path = tmp_path / "labels.txt"
@@ -347,6 +366,8 @@ class TestFileFormats:
         [
             ("0 1 0.5\n1.5 2 0.5\n", r"trip\.txt.*node index 1\.5 is not an integer"),
             ("0 1 0.5\n-1 2 0.5\n", r"trip\.txt.*node index -1 outside \[0, 3\)"),
+            ("0 1 0.5\n1e20 2 0.5\n", r"trip\.txt: node index 1e\+20 exceeds the int64 range"),
+            ("0 1 0.5\n-1e20 2 0.5\n", r"trip\.txt: node index -1e\+20 exceeds the int64"),
             ("0 1 -0.25\n", r"trip\.txt.*negative entries"),
             ("0 1 inf\n", r"trip\.txt.*non-finite entries"),
             ("0 0 0\n", r"trip\.txt.*at least 2 points"),
@@ -354,6 +375,8 @@ class TestFileFormats:
             ("0 1\n1 2\n", r"trip\.txt.*'i j dist' triplets, got shape \(2, 2\)"),
             ("0 1 abc\n", r"trip\.txt:1: .*abc"),
             ("0 1 0.5\n1 2\n", r"trip\.txt:2: expected 3 columns, got 2"),
+            (",\n", r"trip\.txt:1: a row of only delimiters holds no values"),
+            ("0 1 0.5\n, ,\n", r"trip\.txt:2: a row of only delimiters holds no values"),
             ("", r"trip\.txt: no data rows"),
             ("# a comment\n\n", r"trip\.txt: no data rows"),
         ],

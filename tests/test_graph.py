@@ -261,6 +261,23 @@ class TestThreadCountInvariance:
         assert len(set(messages)) == 1, messages
 
 
+class TestSplitRows:
+    @pytest.mark.parametrize("count", THREAD_COUNTS)
+    @pytest.mark.parametrize("n, block_rows", [(1000, 128), (130, 64), (100, 64)])
+    def test_every_block_reaches_exactly_one_thread(self, count, n, block_rows):
+        def work(blocks):
+            return threading.current_thread(), list(blocks)
+
+        with threads(count):
+            results = graph_mod._split_rows(work, n, block_rows)
+        starts = range(0, n, block_rows)
+        # one call per CPU, but never more calls than blocks
+        assert len(results) == min(count, len(starts))
+        assert results[0][0] is threading.current_thread()
+        got = sorted(block for _, blocks in results for block in blocks)
+        assert got == [(a, min(a + block_rows, n)) for a in starts]
+
+
 class TestNoThreadOutlivesACall:
     def test_builds_and_a_failed_check(self):
         X = np.random.default_rng(10).normal(size=(350, 2))
