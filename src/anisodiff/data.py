@@ -267,6 +267,12 @@ def read_distances(path) -> np.ndarray:
             f"got shape {table.shape}"
         )
     idx, n = _node_indices(path, table[:, :2])
+    # every off-diagonal pair needs a line, so this checks before D is allocated
+    if len(table) < n * (n - 1) // 2:
+        raise InputError(
+            f"{path}: {len(table)} lines for n={n} nodes; distances are missing "
+            f"for some of the {n * (n - 1) // 2} pairs"
+        )
     ii, jj, dd = idx[:, 0], idx[:, 1], table[:, 2]
     nonzero_self = (ii == jj) & (dd != 0)
     if nonzero_self.any():

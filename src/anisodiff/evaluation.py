@@ -32,8 +32,8 @@ from .graph import build_knn_graph, usable_cpus
 # grid, one seed, every column run), as multiples of I's at the same K
 # (K = 5, 10, 20): A_lin 0.96-1.03, A_nlin 2.4-3.4, A_S 4.3-9.7, A_LM 10-37,
 # and GRF 37-84 per entry.  grid_search skips the cells that cannot win, so
-# _slice_cost is an upper bound; the shares only need the slices' costs
-# roughly right.
+# _slice_cost, the cost of a (method, seed)'s search over every K, is an
+# upper bound; the shares only need the searches' costs roughly right.
 _METHODS = {
     "I": ("isotropic", "linear", 1.0),
     "A_lin": ("plain", "linear", 1.0),
@@ -179,50 +179,53 @@ class BenchmarkReport:
     rows: tuple
 
 
-def _slice_cost(grid: GridSpec, graph, warm_start_steps: int, method: str) -> float:
-    cost = _METHODS[method][2] * graph.weights.nnz
+def _slice_cost(grid: GridSpec, warm_start_steps: int, method: str) -> float:
+    # every task reads the same graphs, so their entries are a common factor
+    cost = _METHODS[method][2]
     if method == "GRF":
         return cost
     columns = 1 if method == "I" else len(grid.sigma_f_values)
     return cost * columns * (warm_start_steps + max(grid.T_values))
 
 
-def _run_slice(dataset, grid, graphs, train_labels, delta, warm_start_steps, method, seed, K):
-    """One K's grid slice of (method, seed): (key, selected, test error, seconds).
+def _run_slice(dataset, grid, graphs, train_labels, delta, warm_start_steps, method, seed):
+    """The search of (method, seed) over every K: (selected, test error, seconds).
 
-    A diffusion slice searches the T x sigma_f cells at K; a GRF slice has
-    the one cell K.  ``key`` orders the slice's best cell as the full search
-    would, so the minimum key over a (method, seed)'s slices is the cell the
-    full search selects.  The test error is None when that cell diverged.
+    A diffusion method makes one :func:`grid_search`; GRF solves on each
+    graph and takes the least (validation error, K).  The test error is
+    None when the selected cell diverged.
     """
     t0 = time.perf_counter()
     y = dataset.labels
     split = split_labels(dataset, train_labels, seed)
     if method == "GRF":
         state = init_labels(zip(split.train, y[split.train]), dataset.n, dataset.c)
-        # a component without labels makes the cell unsolvable; it scores
-        # 100 rather than aborting the sweep
-        try:
-            labels = decode_labels(grf_harmonic(graphs[K], state))
-            err = error_rate(labels, y, split.validation)
-            test = error_rate(labels, y, split.test)
-        except UnlabeledComponentError:
-            err = test = 100.0
-        key, selected = (err, K), f"K:{K}"
+        scores = []
+        for K in sorted(graphs):
+            # a component without labels makes the cell unsolvable; it scores
+            # 100 rather than aborting the sweep
+            try:
+                labels = decode_labels(grf_harmonic(graphs[K], state))
+                err = error_rate(labels, y, split.validation)
+                test = error_rate(labels, y, split.test)
+            except UnlabeledComponentError:
+                err = test = 100.0
+            scores.append((err, K, test))
+        _, K, test = min(scores)
+        selected = f"K:{K}"
     else:
         variant, mode, _ = _METHODS[method]
-        config, err, labels = grid_search(
-            replace(grid, K_values=(K,), variant=variant, mode=mode),
+        config, _, labels = grid_search(
+            replace(grid, variant=variant, mode=mode),
             dataset,
             split,
             delta=delta,
             warm_start_steps=warm_start_steps,
             graph_cache=graphs,
         )
-        key = (err, config.T, config.K, config.sigma_f)
         selected = f"K:{config.K};T:{config.T};sigma_f:{config.sigma_f:.17g}"
         test = None if labels is None else error_rate(labels, y, split.test)
-    return key, selected, test, time.perf_counter() - t0
+    return selected, test, time.perf_counter() - t0
 
 
 # a forked child's slice function, put here by the pool's initializer in the
@@ -304,18 +307,17 @@ def benchmark(
     validation, so nothing is rerun.  A selected diffusion cell that
     diverged raises :class:`DivergenceError`.
 
-    The search runs in slices, one per (method, seed, K), spread over one
-    process per usable CPU (:func:`usable_cpus`), the calling one included,
-    on the fork start method, costliest slice first in every process; the
-    report is the same for any number of processes.  The graphs are built
-    beforehand and never timed; each process builds a graph's cached
-    structures the first time one of its slices reads them.  ``mean_seconds``
-    is the mean over seeds of the summed wall time of a seed's slices, each
-    timed in the process that ran it, so a slice's time includes the
-    structures it is the first to read; timing lives outside the
-    deterministic report fields.  A slice is one :func:`grid_search`, which
-    skips the cells that cannot win, so ``mean_seconds`` times that pruned
-    search, and the shares are balanced by the cost of every cell.
+    Each (method, seed) is one search over the whole grid, one
+    :func:`grid_search` for a diffusion method, which skips the cells that
+    cannot win across every K, and one solve per K for GRF.  The searches
+    are spread over one process per usable CPU (:func:`usable_cpus`), the
+    calling one included, on the fork start method, costliest first in every
+    process; the report is the same for any number of processes.  The graphs
+    are built beforehand and never timed; each process builds a graph's
+    cached structures the first time one of its searches reads them.
+    ``mean_seconds`` is the mean over seeds of a search's wall time, timed in
+    the process that ran it, so it includes the structures the search is the
+    first to read; timing lives outside the deterministic report fields.
     """
     methods = list(methods)
     if not methods:
@@ -332,32 +334,23 @@ def benchmark(
     _check_integer("train_labels", l, 1)
     # checks delta and warm_start_steps whichever methods run
     DiffusionConfig(delta=delta, warm_start_steps=warm_start_steps)
-    K_values = tuple(map(int, grid.K_values))
-    graphs = {K: build_knn_graph(dataset.distance_matrix, K) for K in K_values}
+    graphs = {K: build_knn_graph(dataset.distance_matrix, K) for K in map(int, grid.K_values)}
     run = functools.partial(_run_slice, dataset, grid, graphs, l, delta, warm_start_steps)
-    # a repeated method or seed reads the one run of its slices
-    tasks = list(dict.fromkeys(itertools.product(methods, seeds, K_values)))
-    costs = [_slice_cost(grid, graphs[K], warm_start_steps, method) for method, _, K in tasks]
-    results = _run_slices(run, tasks, costs)
+    # a repeated method or seed reads the one run of its search
+    tasks = list(dict.fromkeys(itertools.product(methods, seeds)))
+    results = _run_slices(run, tasks, [_slice_cost(grid, warm_start_steps, m) for m, _ in tasks])
     rows = []
     for method in methods:
-        errors, selected, seconds = [], [], []
-        for seed in seeds:
-            slices = [results[method, seed, K] for K in K_values]
-            _, choice, error, _ = min(slices, key=lambda r: r[0])
-            if error is None:
-                raise DivergenceError(f"diffusion diverged at delta={delta}")
-            errors.append(error)
-            selected.append(choice)
-            seconds.append(sum(r[3] for r in slices))
-        errors = tuple(errors)
+        selected, errors, seconds = zip(*(results[method, seed] for seed in seeds))
+        if None in errors:
+            raise DivergenceError(f"diffusion diverged at delta={delta}")
         mean = float(np.mean(errors))
         sd = float(np.std(errors, ddof=1)) if len(errors) > 1 else 0.0
         rows.append(
             MethodResult(
                 method=method,
                 errors=errors,
-                selected=tuple(selected),
+                selected=selected,
                 mean_error=mean,
                 sd_error=sd,
                 mean_seconds=float(np.mean(seconds)),

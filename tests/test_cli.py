@@ -477,15 +477,19 @@ class TestExitCodeRule:
             ("--features", "0 0\n1 nan\n2 2\n", "features contain non-finite entries"),
             ("--distances", "0 1 1.0\n0 2 -1.0\n1 2 1.0\n",
              "distance matrix contains negative entries"),
+            # a dense matrix of this n would take terabytes
+            ("--distances", "0 1 0.5\n1000000 1 0.5\n", "2 lines for n=1000001 nodes"),
         ],
-        ids=["features-nan", "triplet-negative"],
+        ids=["features-nan", "triplet-negative", "triplet-sparse"],
     )
     def test_bad_file_contents_runtime_error(self, paths, capsys, flag, contents, message):
         bad = paths["out"].parent / "bad.txt"
         bad.write_text(contents)
         code = run_cli(["build-graph", flag, bad, "--K", 1, "--out", paths["out"]])
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}")
+        assert "Traceback" not in err
         assert not paths["out"].exists()
 
     @pytest.mark.parametrize(

@@ -367,6 +367,9 @@ class TestFileFormats:
             ("0 1 0.5\n1.5 2 0.5\n", r"trip\.txt.*node index 1\.5 is not an integer"),
             ("0 1 0.5\n-1 2 0.5\n", r"trip\.txt.*node index -1 outside \[0, 3\)"),
             ("0 1 0.5\n1e20 2 0.5\n", r"trip\.txt: node index 1e\+20 exceeds the int64 range"),
+            ("0 1 0.5\n1000000 1 0.5\n",
+             r"trip\.txt: 2 lines for n=1000001 nodes; distances are missing for some of the "
+             r"500000500000 pairs"),
             ("0 1 0.5\n-1e20 2 0.5\n", r"trip\.txt: node index -1e\+20 exceeds the int64"),
             ("0 1 -0.25\n", r"trip\.txt.*negative entries"),
             ("0 1 inf\n", r"trip\.txt.*non-finite entries"),

@@ -1,6 +1,8 @@
+import contextlib
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -617,7 +619,12 @@ def test_maximum_principle_isotropic_and_plain(seed, delta, variant, mode, clamp
         mode=mode, clamp_labels=clamp,
     )
     lo, hi = f0.min(axis=0) - 1e-12, f0.max(axis=0) + 1e-12
-    snaps = snapshots_at(config, g, LabelState(f0, mask, c), range(config.T + 1))
+    # an empty mask gives the intended warning; any other warning is an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = pytest.warns(UserWarning, match="no labeled nodes")
+        with contextlib.nullcontext() if mask.any() else expected:
+            snaps = snapshots_at(config, g, LabelState(f0, mask, c), range(config.T + 1))
     assert len(snaps) == config.T + 1
     for f in snaps.values():
         assert (f >= lo).all() and (f <= hi).all()

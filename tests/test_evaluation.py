@@ -240,9 +240,10 @@ class TestPrunedSearch:
     @pytest.mark.parametrize(
         "dataset, train_labels, seed, columns",
         [
-            # every slice's first column scores 0 at T=10: one column per slice
-            (two_moons(600, 0.1, seed=1), 4, 1, 9),
-            # no cell scores 0, so every column of the 9 slices runs
+            # each search's first column, K=5 and sigma_f=0.05, scores 0 at
+            # T=10, so it comes before every other cell: one column per method
+            (two_moons(600, 0.1, seed=1), 4, 1, 3),
+            # no cell scores 0, so every column of the 3 searches runs
             (gaussian_blobs(600, 4, 3.0, 2, 0), 8, 0, 45),
         ],
         ids=["moons600", "blobs600"],
@@ -251,9 +252,12 @@ class TestPrunedSearch:
         counted, _ = self.count_calls(monkeypatch)
         benchmark(dataset, ["A_lin", "A_nlin", "A_S"], [seed], GridSpec(), train_labels=train_labels)
         assert len(counted) == columns
-        # a slice visits sigma_f in ascending order, each column to T=200
-        first = [sigma_f for _, sigma_f, _ in counted[:: columns // 9]]
-        assert first == [0.05] * 9 and all(steps[-1] == 200 for *_, steps in counted)
+        # a search visits K, then sigma_f, in ascending order, each column to T=200
+        per_method = columns // 3
+        for search in (counted[i : i + per_method] for i in range(0, columns, per_method)):
+            assert search == sorted(search)
+        first = [column[:2] for column in counted[::per_method]]
+        assert first == [(5, 0.05)] * 3 and all(steps[-1] == 200 for *_, steps in counted)
 
 
 class TestGridSpecValidation:
@@ -399,8 +403,8 @@ class TestBenchmarkMatchesRerun:
             benchmark(ds, ["I"], [4], grid, train_labels=4, delta=1000.0)
 
 
-class TestGrfSlice:
-    """A GRF slice scores the one K it is given."""
+class TestGrfSearch:
+    """A GRF search solves on every graph and keeps the least (validation error, K)."""
 
     @pytest.fixture(scope="class")
     def inputs(self):
@@ -412,39 +416,40 @@ class TestGrfSlice:
         cut = sp.diags_array(keep) @ g.weights @ sp.diags_array(keep)
         cut.eliminate_zeros()
         with pytest.warns(UserWarning, match="isolated"):
-            return ds, {3: g, 7: Graph(sp.csr_array(cut))}
+            return ds, g, Graph(sp.csr_array(cut))
 
     @staticmethod
-    def run_slice(inputs, K):
-        ds, graphs = inputs
+    def search(ds, graphs):
         config = DiffusionConfig()
         return evaluation._run_slice(
-            ds, GridSpec(), graphs, 2, config.delta, config.warm_start_steps, "GRF", 0, K
+            ds, GridSpec(), graphs, 2, config.delta, config.warm_start_steps, "GRF", 0
         )
 
-    def test_key_is_validation_error_and_K(self, inputs):
-        key, selected, test, seconds = self.run_slice(inputs, 3)
-        (ds, graphs), split = inputs, split_labels(inputs[0], 2, seed=0)
+    @staticmethod
+    def errors(ds, g):
+        """(validation error, test error) of the harmonic solution on g."""
+        split = split_labels(ds, 2, seed=0)
         state = init_labels(zip(split.train, ds.labels[split.train]), ds.n, ds.c)
-        labels = decode_labels(grf_harmonic(graphs[3], state))
-        assert key == (error_rate(labels, ds.labels, split.validation), 3)
-        assert selected == "K:3"
-        assert test == error_rate(labels, ds.labels, split.test)
-        assert seconds > 0
+        labels = decode_labels(grf_harmonic(g, state))
+        return tuple(error_rate(labels, ds.labels, idx) for idx in (split.validation, split.test))
+
+    def test_ties_on_validation_error_go_to_the_smaller_K(self, inputs):
+        ds, g, _ = inputs
+        selected, test, seconds = self.search(ds, {7: g, 3: g})
+        assert (selected, test) == ("K:3", self.errors(ds, g)[1]) and seconds > 0
 
     def test_unlabeled_component_scores_100(self, inputs):
-        key, selected, test, _ = self.run_slice(inputs, 7)
-        assert key == (100.0, 7) and selected == "K:7" and test == 100.0
+        ds, g, cut = inputs
+        assert self.search(ds, {7: cut})[:2] == ("K:7", 100.0)
+        # so the cut graph loses at the smaller K to a solvable one
+        assert self.search(ds, {3: cut, 7: g})[:2] == ("K:7", self.errors(ds, g)[1])
 
-    def test_cost_grows_with_the_graph_not_the_grid(self, inputs):
+    def test_cost_grows_with_the_grid_not_the_graph(self):
         grid, wide = GridSpec(), GridSpec(T_values=(5, 500), sigma_f_values=(0.1, 0.2, 0.4))
-        _, graphs = inputs
-        for g in graphs.values():
-            cost = evaluation._slice_cost(grid, g, 10, "GRF")
-            assert cost == evaluation._slice_cost(wide, g, 10, "GRF")
-            assert cost == evaluation._METHODS["GRF"][2] * g.weights.nnz
-        g = graphs[3]
-        assert evaluation._slice_cost(wide, g, 10, "A_lin") > evaluation._slice_cost(grid, g, 10, "A_lin")
+        # GRF solves once per graph whatever T and sigma_f are
+        cost = evaluation._slice_cost(grid, 10, "GRF")
+        assert cost == evaluation._slice_cost(wide, 10, "GRF") == evaluation._METHODS["GRF"][2]
+        assert evaluation._slice_cost(wide, 10, "A_lin") > evaluation._slice_cost(grid, 10, "A_lin")
 
 
 class TestParallelBenchmark:
@@ -474,8 +479,8 @@ class TestParallelBenchmark:
         assert not multiprocessing.active_children()
 
     def test_selection_is_the_full_grid_search(self, noisy, reports):
-        # the least of the per-K slice minima is the cell one unpruned search
-        # over every K picks
+        # each (method, seed)'s pruned search picks the cell that one unpruned
+        # search over every K picks
         y = noisy.labels
         graphs = {K: build_knn_graph(noisy.distance_matrix, K) for K in self.GRID.K_values}
         cells = set()
@@ -539,8 +544,7 @@ class TestParallelBenchmark:
         grid = GridSpec(K_values=(3, 5), T_values=(5,), sigma_f_values=(0.2, 0.5))
         with processes(2):
             benchmark(ds, ["I", "A_S"], [0], grid, train_labels=4)
-        assert ("smooth", (5,)) in calls
-        assert len(calls) < 4
+        assert calls == [("smooth", (3, 5))]
 
     @pytest.mark.parametrize("error", [DivergenceError, ParameterError])
     def test_child_error_keeps_its_type_and_no_child_remains(self, monkeypatch, error):
@@ -555,15 +559,17 @@ class TestParallelBenchmark:
         monkeypatch.setattr(evaluation, "grid_search", failing_in_child)
         ds = two_moons(40, 0.1, seed=1)
         grid = GridSpec(K_values=(3, 4, 5), T_values=(5,), sigma_f_values=(0.2,))
+        # two searches of one cost: the second goes to a child
         with processes(2), pytest.raises(error, match="raised in a child"):
-            benchmark(ds, ["A_nlin"], [0], grid, train_labels=4)
+            benchmark(ds, ["A_nlin"], [0, 1], grid, train_labels=4)
         assert not multiprocessing.active_children()
 
     def test_diverged_selection_raises_after_the_children_end(self):
         ds = gaussian_blobs(40, 2, 10.0, 2, seed=4)
         grid = GridSpec(K_values=(3, 4), T_values=(400,), sigma_f_values=(0.2,))
+        # every cell diverges at either seed, and the second seed's search runs in a child
         with processes(2), pytest.raises(DivergenceError, match="diverged at delta=1000"):
-            benchmark(ds, ["I"], [4], grid, train_labels=4, delta=1000.0)
+            benchmark(ds, ["I"], [4, 5], grid, train_labels=4, delta=1000.0)
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize(
