@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diffusivity import (
     VARIANTS, MutualSums, _check_sigma_f, edge_sqnorms, variant_weights
 )
-from .errors import DivergenceError, InputError, ParameterError
+from .errors import InputError, ParameterError
 from .graph import Graph
-from .laplacian import LaplacianOperator, edge_energy
+from .laplacian import LaplacianOperator, _check_delta, edge_energy
 
 MODES = ("linear", "nonlinear")
 
@@ -64,8 +64,7 @@ class DiffusionConfig:
         _check_integer("T", self.T, 0)
         _check_integer("warm_start_steps", self.warm_start_steps, 0)
         _check_sigma_f(self.sigma_f)
-        if not self.delta > 0:
-            raise ParameterError(f"delta must be positive, got {self.delta}")
+        _check_delta(self.delta)
         if self.variant not in VARIANTS:
             raise ParameterError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.mode not in MODES:
@@ -108,8 +107,7 @@ def init_labels(labels, n: int, c: int) -> LabelState:
 def warm_start(graph: Graph, f0, steps: int, delta: float) -> np.ndarray:
     """Run `steps` isotropic Euler steps to smooth the initial distribution."""
     _check_integer("steps", steps, 0)
-    if not delta > 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
+    _check_delta(delta)
     f = np.array(f0, dtype=np.float64)
     if steps == 0:
         return f
@@ -182,32 +180,6 @@ def run_diffusion(
     for t, f, energy in _trajectory(config, graph, state):
         energies[t] = energy
     return DiffusionResult(f, energies)
-
-
-def snapshots_at(
-    config: DiffusionConfig, graph: Graph, state: LabelState, steps
-) -> dict[int, np.ndarray]:
-    """f^t at the requested step counts, sharing one trajectory.
-
-    A nonlinear trajectory at step t is a prefix of any longer run with the
-    same config, so evaluating several T values this way is exactly
-    equivalent to independent runs.  If the trajectory diverges, the steps
-    already passed are returned and later ones are missing.  No energy is
-    computed.
-    """
-    wanted = set(steps)
-    for t in wanted:
-        _check_integer("snapshot step", t, 0)
-    if wanted and max(wanted) != config.T:
-        config = replace(config, T=max(wanted))
-    out: dict[int, np.ndarray] = {}
-    try:
-        for t, f, _ in _trajectory(config, graph, state, energies=False):
-            if t in wanted:
-                out[t] = f.copy()
-    except DivergenceError:
-        pass
-    return out
 
 
 def decode_labels(f) -> np.ndarray:

@@ -19,9 +19,8 @@ import numpy as np
 
 from .baselines import grf_harmonic
 from .data import Dataset, SplitSpec, split_labels
-from .diffusion import (
-    DiffusionConfig, _check_integer, decode_labels, init_labels, snapshots_at
-)
+from . import diffusion
+from .diffusion import DiffusionConfig, _check_integer, decode_labels, init_labels
 from .diffusivity import _check_sigma_f
 from .errors import DivergenceError, InputError, ParameterError, UnlabeledComponentError
 from .graph import build_knn_graph, usable_cpus
@@ -106,18 +105,18 @@ def grid_search(
 
     Every (K, T, sigma_f) cell trains on the train labels and scores on the
     validation labels.  Cells whose run diverges score 100.  Ties break by
-    smaller T, then smaller K, then smaller sigma_f.  All T values of one
-    (K, sigma_f) column are read off a single trajectory, which is exactly
+    smaller T, then smaller K, then smaller sigma_f.  A (K, sigma_f) column
+    scores each T as its one trajectory reaches it, which is exactly
     equivalent to independent runs because a shorter run is a prefix of a
     longer one.  ``labels`` is the decoded prediction of the selected cell,
     or None when that cell diverged.
 
-    No error is below 0, so a cell whose key (0, T, K, sigma_f) does not
-    come before the best key so far cannot win and is skipped: a column runs
-    only to its largest T that could still win, or not at all, and a K none
-    of whose columns runs builds no graph.  This fires once a cell scores 0;
-    K and sigma_f are visited in ascending order, so such a cell skips the
-    most.  The selection is that of the full grid.
+    No error is below 0, so a column stops at its first T that cannot win,
+    one whose key (0, T, K, sigma_f) does not come before the best key so
+    far: no later T can win either.  A divergence stops it too, as every
+    later T scores 100 and sorts after this one.  A K with no T that could
+    win builds no graph.  K and sigma_f are visited in ascending order, so a
+    cell scoring 0 skips the most.  The selection is that of the full grid.
     """
     y = dataset.labels
     best = None  # (cell key, config, labels)
@@ -130,31 +129,32 @@ def grid_search(
     graphs = {} if graph_cache is None else graph_cache
     for K in sorted(map(int, grid.K_values)):
         for sigma_f in sigmas:
-            # the T whose cell could still win
-            todo = [T for T in T_values if best is None or (0.0, T, K, sigma_f) < best[0]]
-            if not todo:
-                continue
-            if K not in graphs:
-                graphs[K] = build_knn_graph(dataset.distance_matrix, K)
-            config = DiffusionConfig(
-                K=K,
-                T=max(todo),
-                sigma_f=sigma_f,
-                delta=delta,
-                warm_start_steps=warm_start_steps,
-                variant=grid.variant,
-                mode=grid.mode,
-            )
-            snaps = snapshots_at(config, graphs[K], state, todo)
-            for T in todo:
-                if T in snaps:
-                    labels = decode_labels(snaps[T])
+            trajectory = None
+            for T in T_values:
+                if best is not None and (0.0, T, K, sigma_f) >= best[0]:
+                    break  # neither this T nor a later one can win
+                if trajectory is None:
+                    if K not in graphs:
+                        graphs[K] = build_knn_graph(dataset.distance_matrix, K)
+                    config = DiffusionConfig(
+                        K=K, T=T_values[-1], sigma_f=sigma_f, delta=delta,
+                        warm_start_steps=warm_start_steps, variant=grid.variant, mode=grid.mode,
+                    )
+                    # the module attribute, so a wrapper set on it sees the search
+                    trajectory = diffusion._trajectory(config, graphs[K], state, energies=False)
+                try:
+                    for t, f, _ in trajectory:
+                        if t == T:
+                            break
+                    labels = decode_labels(f)
                     err = error_rate(labels, y, split.validation)
-                else:  # diverged before reaching T
+                except DivergenceError:
                     labels, err = None, 100.0
                 key = (err, T, K, sigma_f)
                 if best is None or key < best[0]:
                     best = (key, replace(config, T=T), labels)
+                if labels is None:
+                    break  # diverged: every later T scores 100
     (err, *_), config, labels = best
     return config, err, labels
 

@@ -30,6 +30,12 @@ def _field_data(graph: Graph, weights: AnisotropicWeights | None) -> np.ndarray:
     return wd
 
 
+def _check_delta(delta) -> None:
+    """Raise ParameterError unless the Euler step size is positive and finite."""
+    if not 0 < delta < np.inf:
+        raise ParameterError(f"delta must be positive and finite, got {delta}")
+
+
 class LaplacianOperator:
     """Applies L (no weights) or L^D (anisotropic weights) to n x c arrays.
 
@@ -64,8 +70,7 @@ class LaplacianOperator:
         ``f`` is anything :meth:`__call__` accepts; a 1-D f of length n is
         taken as (n, 1).
         """
-        if not delta > 0:
-            raise ParameterError(f"delta must be positive, got {delta}")
+        _check_delta(delta)
         with np.errstate(over="ignore", invalid="ignore"):
             Lf = self(f)
             out = np.asarray(f, dtype=np.float64).reshape(Lf.shape) - delta * Lf

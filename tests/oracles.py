@@ -11,7 +11,8 @@ structures by per-node and per-edge loops over the CSR arrays,
 direction and averages the pair, ``trajectory_rebuild`` runs the diffusion
 loop with a fresh operator and the energy on every step,
 ``benchmark_rerun_errors`` reruns each selected benchmark cell on its own,
-and ``grid_search_exhaustive`` scores every grid cell, skipping none.
+and ``grid_search_exhaustive`` scores every grid cell by its own run,
+skipping none.
 """
 
 import math
@@ -359,12 +360,13 @@ def grid_search_exhaustive(
     The selection rule of ``evaluation.grid_search``: the least key
     (validation error, T, K, sigma_f), a cell whose run diverged scoring 100
     with labels None, and for the isotropic variant one column at the first
-    given sigma_f.  Each (K, sigma_f) column reads all its T values off one
-    ``snapshots_at`` trajectory, run to the largest T.
+    given sigma_f.  Each cell is its own ``run_diffusion``, so the reference
+    does not lean on a shorter run being a prefix of a longer one.
     """
     from dataclasses import replace
 
-    from anisodiff.diffusion import DiffusionConfig, decode_labels, init_labels, snapshots_at
+    from anisodiff.diffusion import DiffusionConfig, decode_labels, init_labels, run_diffusion
+    from anisodiff.errors import DivergenceError
     from anisodiff.graph import build_knn_graph
 
     y = dataset.labels
@@ -376,22 +378,22 @@ def grid_search_exhaustive(
         if K not in graphs:
             graphs[K] = build_knn_graph(dataset.distance_matrix, K)
         for sigma_f in map(float, sigmas):
-            config = DiffusionConfig(
+            column = DiffusionConfig(
                 K=K,
-                T=max(grid.T_values),
                 sigma_f=sigma_f,
                 delta=delta,
                 warm_start_steps=warm_start_steps,
                 variant=grid.variant,
                 mode=grid.mode,
             )
-            snaps = snapshots_at(config, graphs[K], state, grid.T_values)
             for T in map(int, grid.T_values):
-                labels, err = None, 100.0
-                if T in snaps:
-                    labels = decode_labels(snaps[T])
+                config = replace(column, T=T)
+                try:
+                    labels = decode_labels(run_diffusion(config, graphs[K], state).f)
                     wrong = np.count_nonzero(labels[split.validation] != y[split.validation])
                     err = 100.0 * wrong / len(split.validation)
-                cells.append(((err, T, K, sigma_f), replace(config, T=T), labels))
+                except DivergenceError:
+                    labels, err = None, 100.0
+                cells.append(((err, T, K, sigma_f), config, labels))
     (err, *_), config, labels = min(cells, key=lambda cell: cell[0])
     return config, err, labels

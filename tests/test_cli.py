@@ -422,6 +422,9 @@ class TestExitCodeRule:
         [
             ("propagate", ["--delta", -1], "delta must be positive"),
             ("benchmark", ["--delta", -1], "delta must be positive"),
+            # an infinite step is a usage error, not a run that diverged
+            ("propagate", ["--delta", "inf"], "delta must be positive and finite, got inf"),
+            ("benchmark", ["--delta", "inf"], "delta must be positive and finite, got inf"),
             ("propagate", ["--warm-start", -1], "warm_start_steps must be"),
             ("benchmark", ["--warm-start", -1], "warm_start_steps must be"),
             ("grf", ["--K", 500], "K must satisfy 1 <= K <= n-1 = 59"),

@@ -16,10 +16,10 @@ from anisodiff.diffusion import (
     MODES,
     DiffusionConfig,
     LabelState,
+    _trajectory,
     decode_labels,
     init_labels,
     run_diffusion,
-    snapshots_at,
     warm_start,
     write_energy_trace,
 )
@@ -153,10 +153,10 @@ class TestWarmStart:
         assert np.abs(warm_start(g, f0, 30, 1.0) - f0).max() < 1e-10
 
     @pytest.mark.parametrize("steps", [0, 3])
-    @pytest.mark.parametrize("delta", [0.0, -0.5])
+    @pytest.mark.parametrize("delta", [0.0, -0.5, np.inf])
     def test_rejects_nonpositive_delta(self, steps, delta):
         g = two_node_graph()
-        with pytest.raises(ParameterError, match="delta must be positive"):
+        with pytest.raises(ParameterError, match="delta must be positive and finite"):
             warm_start(g, np.zeros((2, 1)), steps, delta)
 
     @pytest.mark.parametrize("steps", [2.5, -1])
@@ -224,10 +224,11 @@ def _warm_started_excursion(dataset, K, configs):
     g = build_knn_graph(ds.distance_matrix, K)
     excursion = {}
     for key, cfg in configs.items():
-        snaps = snapshots_at(DiffusionConfig(K=K, T=200, **cfg), g, state, range(201))
-        assert len(snaps) == 201, key  # no step diverged
+        # a step that diverged would raise
+        trajectory = _trajectory(DiffusionConfig(K=K, T=200, **cfg), g, state, energies=False)
+        snaps = [f for _, f, _ in trajectory]
         lo, hi = snaps[0].min(axis=0), snaps[0].max(axis=0)
-        excursion[key] = max(max((lo - f).max(), (f - hi).max()) for f in snaps.values())
+        excursion[key] = max(max((lo - f).max(), (f - hi).max()) for f in snaps)
     return excursion
 
 
@@ -409,45 +410,24 @@ class TestRunDiffusion:
         with pytest.raises(ParameterError, match="K=3 does not match the graph's K=5"):
             run_diffusion(cfg, g, state)
         with pytest.raises(ParameterError, match="K=3 does not match the graph's K=5"):
-            snapshots_at(cfg, g, state, [5])
+            next(_trajectory(cfg, g, state, energies=False))
         # a graph without kNN lists carries no K, so any config K runs on it
         edges = Graph(g.weights)
         expected = run_diffusion(replace(cfg, K=5), g, state).f
         assert np.array_equal(run_diffusion(cfg, edges, state).f, expected)
 
 
-class TestSnapshots:
+class TestTrajectory:
     def test_prefix_property_matches_independent_runs(self):
         rng = np.random.default_rng(56)
         _, g = random_knn_graph(rng, 25, 3)
         state = init_labels([(0, 0), (12, 1)], 25, 2)
         base = dict(K=3, sigma_f=0.2, variant="smooth", mode="nonlinear")
-        snaps = snapshots_at(
-            DiffusionConfig(T=20, **base), g, state, [5, 10, 20]
-        )
+        trajectory = _trajectory(DiffusionConfig(T=20, **base), g, state, energies=False)
+        snaps = {t: f for t, f, _ in trajectory}
         for T in (5, 10, 20):
             ref = run_diffusion(DiffusionConfig(T=T, **base), g, state).f
             assert np.array_equal(snaps[T], ref)
-
-    def test_divergence_returns_partial(self):
-        g = two_node_graph()
-        state = init_labels([(0, 0)], 2, 2)
-        cfg = DiffusionConfig(
-            K=1, T=400, delta=1000.0, warm_start_steps=0, variant="isotropic"
-        )
-        snaps = snapshots_at(cfg, g, state, [1, 400])
-        assert 1 in snaps and 400 not in snaps
-
-    @pytest.mark.parametrize("steps", [[2.7], [1, 2.0], [-1]])
-    def test_steps_must_be_nonnegative_integers(self, steps):
-        # int() would read step 2.7 as step 2
-        g = two_node_graph()
-        state = init_labels([(0, 0)], 2, 2)
-        cfg = DiffusionConfig(K=1, T=3, variant="isotropic")
-        with pytest.raises(ParameterError, match="snapshot step"):
-            snapshots_at(cfg, g, state, steps)
-        snaps = snapshots_at(cfg, g, state, np.array([1, 3]))
-        assert sorted(snaps) == [1, 3]
 
 
 class TestFusedLoopMatchesRebuild:
@@ -456,7 +436,7 @@ class TestFusedLoopMatchesRebuild:
     @pytest.mark.parametrize("clamp", [False, True])
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_run_and_snapshots_match_rebuilding_loop(self, variant, mode, clamp):
+    def test_run_and_trajectory_match_rebuilding_loop(self, variant, mode, clamp):
         rng = np.random.default_rng(58)
         _, g = random_knn_graph(rng, 40, 5)
         state = init_labels([(0, 0), (9, 1), (21, 2), (33, 1)], 40, 3)
@@ -468,10 +448,10 @@ class TestFusedLoopMatchesRebuild:
         res = run_diffusion(config, g, state)
         assert np.array_equal(res.f, f_ref)
         assert np.array_equal(res.energies, energies_ref)
-        snaps = snapshots_at(config, g, state, range(config.T + 1))
-        for T in range(config.T + 1):
+        for T, f, energy in _trajectory(config, g, state, energies=False):
+            assert energy is None
             ref = run_diffusion(replace(config, T=T), g, state).f
-            assert np.array_equal(snaps[T], ref)
+            assert np.array_equal(f, ref)
 
 
 class TestOneEnergySum:
@@ -486,7 +466,7 @@ class TestOneEnergySum:
             K=5, T=8, sigma_f=0.3, warm_start_steps=3, variant=variant, mode="linear"
         )
         energies = run_diffusion(config, g, state).energies
-        snaps = snapshots_at(config, g, state, range(config.T + 1))
+        snaps = [f for _, f, _ in _trajectory(config, g, state, energies=False)]
         # linear mode freezes the field of the warm-started f
         weights = variant_weights(g, snaps[0], config.sigma_f, variant)
         for t in range(config.T + 1):
@@ -624,9 +604,10 @@ def test_maximum_principle_isotropic_and_plain(seed, delta, variant, mode, clamp
         warnings.simplefilter("error")
         expected = pytest.warns(UserWarning, match="no labeled nodes")
         with contextlib.nullcontext() if mask.any() else expected:
-            snaps = snapshots_at(config, g, LabelState(f0, mask, c), range(config.T + 1))
+            trajectory = _trajectory(config, g, LabelState(f0, mask, c), energies=False)
+            snaps = [f for _, f, _ in trajectory]
     assert len(snaps) == config.T + 1
-    for f in snaps.values():
+    for f in snaps:
         assert (f >= lo).all() and (f <= hi).all()
 
 
@@ -655,6 +636,8 @@ class TestConfigValidation:
             dict(sigma_f=0.0),
             dict(sigma_f=1e-200),  # its square underflows to 0
             dict(delta=-0.5),
+            dict(delta=np.inf),
+            dict(delta=np.nan),
             dict(warm_start_steps=-1),
             # a fractional count would be truncated, or fail only inside the loop
             dict(K=2.5),

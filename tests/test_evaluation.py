@@ -177,19 +177,22 @@ class TestPrunedSearch:
 
     @staticmethod
     def count_calls(monkeypatch):
-        """(K, sigma_f, steps) of every snapshots_at call, and every K built."""
+        """[K, sigma_f, last t reached] of every trajectory, and every K built."""
         columns, builds = [], []
-        snapshots_at, build = evaluation.snapshots_at, evaluation.build_knn_graph
+        trajectory, build = evaluation.diffusion._trajectory, evaluation.build_knn_graph
 
-        def counted_snapshots(config, graph, state, steps):
-            columns.append((config.K, config.sigma_f, tuple(steps)))
-            return snapshots_at(config, graph, state, steps)
+        def counted_trajectory(config, graph, state, **kwargs):
+            column = [config.K, config.sigma_f, None]
+            columns.append(column)
+            for item in trajectory(config, graph, state, **kwargs):
+                column[2] = item[0]
+                yield item
 
         def counted_build(dist, K):
             builds.append(K)
             return build(dist, K)
 
-        monkeypatch.setattr(evaluation, "snapshots_at", counted_snapshots)
+        monkeypatch.setattr(evaluation.diffusion, "_trajectory", counted_trajectory)
         monkeypatch.setattr(evaluation, "build_knn_graph", counted_build)
         # the calls are counted in this process, so nothing may run in a child
         monkeypatch.setattr(evaluation, "usable_cpus", lambda: 1)
@@ -213,8 +216,8 @@ class TestPrunedSearch:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_later_columns_that_diverge(self, monkeypatch):
         # at delta=1000 the smooth columns at K=3 diverge between T=20 and
-        # T=400 (100 there), and sigma_f=0.2 scores 0 at T=20, after which
-        # every column runs to T=5 only
+        # T=400 (100 there) and stop, and sigma_f=0.2 scores 0 at T=20,
+        # after which every column stops at T=5
         grid = GridSpec(
             K_values=(6, 3),
             T_values=(400, 5, 20),
@@ -226,7 +229,27 @@ class TestPrunedSearch:
         self.assert_full_grid(grid, self.SEPARATED, split, delta=1000.0, warm_start_steps=0)
         columns, _ = self.count_calls(monkeypatch)
         grid_search(grid, self.SEPARATED, split, delta=1000.0, warm_start_steps=0)
-        assert [steps for *_, steps in columns] == [(5, 20, 400)] * 3 + [(5,)] * 7
+        diverged, rest = columns[:2], columns[2:]
+        assert [column[:2] for column in diverged] == [[3, 0.01], [3, 0.05]]
+        assert all(20 < last < 400 for *_, last in diverged)
+        assert rest == [[3, 0.2, 20], [3, 1.0, 5], [3, 5.0, 5]] + [
+            [6, sigma_f, 5] for sigma_f in (0.01, 0.05, 0.2, 1.0, 5.0)
+        ]
+
+    # the diverging run overflows on its way to inf
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_column_stops_where_it_diverges(self, monkeypatch):
+        # isotropic steps at delta=1000 overflow before T=400, so T=400 and
+        # T=500 score 100 from a single run that goes no further
+        ds = gaussian_blobs(40, 2, 10.0, 2, seed=4)
+        split = split_labels(ds, 4, seed=4)
+        grid = GridSpec(K_values=(3,), T_values=(500, 400), variant="isotropic")
+        expected = grid_search_exhaustive(grid, ds, split, delta=1000.0, warm_start_steps=0)
+        columns, _ = self.count_calls(monkeypatch)
+        config, err, labels = grid_search(grid, ds, split, delta=1000.0, warm_start_steps=0)
+        assert (config, err, labels) == expected == (replace(config, T=400), 100.0, None)
+        [[K, sigma_f, last]] = columns
+        assert (K, sigma_f) == (3, 0.05) and last < 400
 
     def test_a_dominated_K_builds_no_graph(self, monkeypatch):
         # the grid of test_tie_prefers_smaller_t_then_k_then_sigma: its first
@@ -235,29 +258,30 @@ class TestPrunedSearch:
         grid = GridSpec(K_values=(7, 3), T_values=(50, 10), sigma_f_values=(0.5, 0.1))
         config, err, _ = grid_search(grid, self.SEPARATED, split_labels(self.SEPARATED, 4, seed=1))
         assert (err, config.T, config.K, config.sigma_f) == (0.0, 10, 3, 0.1)
-        assert builds == [3] and columns == [(3, 0.1, (10, 50))]
+        assert builds == [3] and columns == [[3, 0.1, 10]]
 
     @pytest.mark.parametrize(
-        "dataset, train_labels, seed, columns",
+        "dataset, train_labels, seed, columns, last",
         [
             # each search's first column, K=5 and sigma_f=0.05, scores 0 at
-            # T=10, so it comes before every other cell: one column per method
-            (two_moons(600, 0.1, seed=1), 4, 1, 3),
-            # no cell scores 0, so every column of the 3 searches runs
-            (gaussian_blobs(600, 4, 3.0, 2, 0), 8, 0, 45),
+            # T=10, so it comes before every other cell: one column per
+            # method, stopped at T=10
+            (two_moons(600, 0.1, seed=1), 4, 1, 3, 10),
+            # no cell scores 0, so every column of the 3 searches runs to T=200
+            (gaussian_blobs(600, 4, 3.0, 2, 0), 8, 0, 45, 200),
         ],
         ids=["moons600", "blobs600"],
     )
-    def test_benchmark_columns(self, monkeypatch, dataset, train_labels, seed, columns):
+    def test_benchmark_columns(self, monkeypatch, dataset, train_labels, seed, columns, last):
         counted, _ = self.count_calls(monkeypatch)
         benchmark(dataset, ["A_lin", "A_nlin", "A_S"], [seed], GridSpec(), train_labels=train_labels)
         assert len(counted) == columns
-        # a search visits K, then sigma_f, in ascending order, each column to T=200
+        # a search visits K, then sigma_f, in ascending order
         per_method = columns // 3
         for search in (counted[i : i + per_method] for i in range(0, columns, per_method)):
             assert search == sorted(search)
         first = [column[:2] for column in counted[::per_method]]
-        assert first == [(5, 0.05)] * 3 and all(steps[-1] == 200 for *_, steps in counted)
+        assert first == [[5, 0.05]] * 3 and all(t == last for *_, t in counted)
 
 
 class TestGridSpecValidation:
@@ -290,18 +314,18 @@ class TestGridSpecValidation:
     def test_repeated_values_run_once(self, monkeypatch):
         from anisodiff import evaluation
 
-        calls = dict.fromkeys(["snapshots_at", "grf_harmonic"], 0)
-        for name in calls:
-            def counted(*args, _name=name, _call=getattr(evaluation, name), **kwargs):
+        calls = dict.fromkeys(["_trajectory", "grf_harmonic"], 0)
+        for owner, name in ((evaluation.diffusion, "_trajectory"), (evaluation, "grf_harmonic")):
+            def counted(*args, _name=name, _call=getattr(owner, name), **kwargs):
                 calls[_name] += 1
                 return _call(*args, **kwargs)
 
-            monkeypatch.setattr(evaluation, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         # the calls are counted in this process, so nothing may run in a child
         monkeypatch.setattr(evaluation, "usable_cpus", lambda: 1)
         ds = two_moons(80, 0.1, seed=0)
         repeated = benchmark(ds, ["A_S", "GRF"], [0], GridSpec((5, 5, 5), (5, 10, 5), (0.1, 0.1)))
-        assert calls == {"snapshots_at": 1, "grf_harmonic": 1}
+        assert calls == {"_trajectory": 1, "grf_harmonic": 1}
         single = benchmark(ds, ["A_S", "GRF"], [0], GridSpec((5,), (5, 10), (0.1,)))
         assert report_kv(repeated) == report_kv(single)
 

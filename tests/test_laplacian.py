@@ -137,10 +137,11 @@ def test_null_space_and_psd_property(seed):
         assert float(np.sum(g.degrees[:, None] * f * Lf)) >= -1e-10
 
 
-@pytest.mark.parametrize("delta", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
 def test_step_rejects_nonpositive_delta(triangle, delta):
-    # a negative delta would run an anti-diffusion step
-    with pytest.raises(ParameterError, match="delta must be positive"):
+    # a negative delta would run an anti-diffusion step, an infinite one
+    # overflows at once
+    with pytest.raises(ParameterError, match="delta must be positive and finite"):
         LaplacianOperator(triangle).step(np.ones((3, 1)), delta)
 
 

@@ -32,7 +32,6 @@ EXPECTED_SPANS = {
     "diffusion.run",
     "baselines.grf",
     "diffusion.init",
-    "diffusion.snapshots",
     "diffusion.step",
     "diffusion.warm_start",
     "diffusivity.variant",
@@ -51,7 +50,8 @@ def _load_tracing():
 def test_traced_runs_record_every_layer_span(tmp_path):
     from anisodiff import data, diffusion, evaluation, graph
 
-    tracer = _load_tracing().Tracer()
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
     moons = data.two_moons(40, 0.15, seed=2)
     fpath, lpath = tmp_path / "features.txt", tmp_path / "labels.txt"
     data.write_features(moons.features, fpath)
@@ -82,3 +82,8 @@ def test_traced_runs_record_every_layer_span(tmp_path):
     names = {span[0] for span in tracer.spans}
     assert EXPECTED_SPANS <= names, sorted(EXPECTED_SPANS - names)
     assert "evaluation.grid_search.A_S" in names
+    # grid_search reaches _trajectory through the module attribute, so the
+    # wrapper on it times the search's steps
+    tree = tracing.SpanTree(tracer.spans)
+    steps = tree.indices("diffusion.step")
+    assert any(tree.has_ancestor(i, "evaluation.grid_search.A_S") for i in steps)
