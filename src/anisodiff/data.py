@@ -136,6 +136,16 @@ def gaussian_blobs(n: int, c: int, separation: float, d: int, seed: int) -> Data
     return Dataset("blobs", y, features=X)
 
 
+def _check_label_count(dataset: Dataset, l: int) -> None:
+    """Raise unless l train and l validation labels leave a test set."""
+    _check_integer("l", l, 0)
+    n, c = dataset.n, dataset.c
+    if l < c:
+        raise ParameterError(f"need l >= c for one train label per class, got l={l}, c={c}")
+    if 2 * l >= n:
+        raise ParameterError(f"need 2l < n, or the test set is empty, got l={l}, n={n}")
+
+
 def split_labels(dataset: Dataset, l: int, seed: int) -> SplitSpec:
     """Stratified train/validation draw of l labels each, test the rest.
 
@@ -143,13 +153,9 @@ def split_labels(dataset: Dataset, l: int, seed: int) -> SplitSpec:
     so each class gets floor(l/c) or ceil(l/c) training labels.  When a pool
     runs dry the draw falls back to the largest remaining pool.
     """
-    _check_integer("l", l, 0)
+    _check_label_count(dataset, l)
     y = dataset.labels
     n, c = dataset.n, dataset.c
-    if l < c:
-        raise ParameterError(f"need l >= c for one train label per class, got l={l}, c={c}")
-    if 2 * l > n:
-        raise ParameterError(f"need 2l <= n, got l={l}, n={n}")
     rng = _rng(seed)
     pools = []
     for cls in range(c):

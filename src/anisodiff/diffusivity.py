@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, ShapeError
-from .graph import TINY, Graph
+from .graph import _BLOCK_ENTRIES, TINY, Graph
 
 VARIANTS = ("isotropic", "plain", "smooth", "local_match")
 
@@ -41,11 +41,21 @@ def _check_f(graph: Graph, f) -> np.ndarray:
 
 
 def _sqdist(f: np.ndarray, a, b) -> np.ndarray:
-    """||f(a) - f(b)||^2 over the columns of f, per index pair (a, b)."""
-    # np.take of whole rows is much faster than fancy indexing of a 2-D array
-    diff = np.take(f, a, axis=0)
-    diff -= np.take(f, b, axis=0)
-    return np.einsum("pc,pc->p", diff, diff)
+    """||f(a) - f(b)||^2 over the columns of f, per index pair (a, b).
+
+    Computed in blocks of about _BLOCK_ENTRIES gathered floats, with the
+    float operations of one unblocked pass, so the result does not depend on
+    the block size.
+    """
+    out = np.empty(len(a))
+    block = max(1, _BLOCK_ENTRIES // max(1, f.shape[1]))
+    for s in range(0, len(a), block):
+        rows = slice(s, s + block)
+        # np.take of whole rows is much faster than fancy indexing of a 2-D array
+        diff = np.take(f, a[rows], axis=0)
+        diff -= np.take(f, b[rows], axis=0)
+        np.einsum("pc,pc->p", diff, diff, out=out[rows])
+    return out
 
 
 def edge_sqnorms(graph: Graph, f) -> np.ndarray:
@@ -56,9 +66,11 @@ def edge_sqnorms(graph: Graph, f) -> np.ndarray:
 
 def _check_sigma_f(sigma_f: float) -> None:
     # the fields divide by sigma_f * sigma_f, which underflows to 0 for a
-    # tiny sigma_f
-    if not (sigma_f > 0 and sigma_f * sigma_f > 0):
-        raise ParameterError(f"sigma_f must be positive with a nonzero square, got {sigma_f}")
+    # tiny sigma_f; an infinite one makes every q 1, the isotropic field
+    if not (0 < sigma_f < np.inf and sigma_f * sigma_f > 0):
+        raise ParameterError(
+            f"sigma_f must be positive with a nonzero square and finite, got {sigma_f}"
+        )
 
 
 def _field_from_sqnorms(graph: Graph, g2, sigma_f: float) -> np.ndarray:
@@ -158,10 +170,13 @@ def _min_cross_sqdist(graph: Graph, f) -> np.ndarray:
 
     Each distinct cross distance is computed once, over the unordered pairs
     of :attr:`Graph.cross_pairs`; (a - b)^2 == (b - a)^2 exactly, so the
-    result does not depend on which endpoint comes first.
+    result does not depend on which endpoint comes first.  The min over
+    N_K(j) is taken one block of the cross map at a time, so each gather of
+    (K, block) distances stays in cache.
     """
     cross_a, cross_b, cross_map = graph.cross_pairs
-    return _sqdist(f, cross_a, cross_b)[cross_map].min(axis=0)
+    d = _sqdist(f, cross_a, cross_b)
+    return np.concatenate([np.take(d, block).min(axis=0) for block in cross_map])
 
 
 def local_match_weights(graph: Graph, q, f, sigma_f: float) -> AnisotropicWeights:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import grf_harmonic
-from .data import Dataset, SplitSpec, split_labels
+from .data import Dataset, SplitSpec, _check_label_count, split_labels
 from . import diffusion
 from .diffusion import DiffusionConfig, _check_integer, decode_labels, init_labels
 from .diffusivity import _check_sigma_f
@@ -332,6 +332,7 @@ def benchmark(
         _check_integer("seed", s, 0)
     l = 2 * dataset.c if train_labels is None else train_labels
     _check_integer("train_labels", l, 1)
+    _check_label_count(dataset, l)
     # checks delta and warm_start_steps whichever methods run
     DiffusionConfig(delta=delta, warm_start_steps=warm_start_steps)
     graphs = {K: build_knn_graph(dataset.distance_matrix, K) for K in map(int, grid.K_values)}

@@ -34,6 +34,12 @@ DISTANCE_SYMMETRY_TOL = 1e-12
 _BLOCK_ROWS = 128
 _SYMMETRY_STRIP_ROWS = 64
 
+# the local-match kernel and the edge gradients work on blocks of index pairs
+# whose temporaries, (pairs, c) row gathers or a (K, pairs) slice of the cross
+# map and its distances, hold about this many 8-byte entries (512 KB), so
+# they stay in a core's L2 cache
+_BLOCK_ENTRIES = 1 << 16
+
 
 class ConnectivityWarning(UserWarning):
     """The graph has isolated nodes or more than one connected component."""
@@ -373,25 +379,33 @@ class Graph:
         from k to every l in N_K(j).  These (k, l) repeat heavily across
         pairs, and the distance does not depend on their order, so each
         unordered pair is stored once.  Returns (cross_a, cross_b, cross_map)
-        with cross_a <= cross_b and cross_map[b, p] the index of the pair
-        {k, neighborhoods[j, b]} for pairs[p] = k * n + j; the (K, P) layout
-        puts the min over b along the outer axis, which reduces fastest.
+        with cross_a <= cross_b and cross_map a tuple of C-contiguous (K, B)
+        int64 blocks over consecutive match pairs, B = _BLOCK_ENTRIES // K
+        but in the last block.  Joined by ``np.concatenate(cross_map,
+        axis=1)``, entry [b, p] is the index of the pair
+        {k, neighborhoods[j, b]} for pairs[p] = k * n + j.  A block's gather
+        of cross distances stays in cache, and its min over b runs along the
+        outer axis, which reduces fastest.
 
         Built on the first local-match evaluation, not with match_structure,
         so graph set-up does not pay for it.
         """
         pairs, _ = self.match_structure
         pair_k, pair_j = np.divmod(pairs, self.n)
-        l = np.ascontiguousarray(self.neighborhoods[pair_j].T)
-        key = np.minimum(pair_k, l)
-        key *= self.n
-        key += np.maximum(pair_k, l, out=l)
-        del l
-        # np.unique(key, return_inverse=True) by hand, freeing (K, P)
-        # temporaries as it goes: np.unique holds about twice as many at once,
-        # which at n = 1500 raised a local-match run's peak RSS by 15%
-        order = np.argsort(key, axis=None)
-        key = key.ravel()[order]
+        P, K = len(pairs), self.neighborhoods.shape[1]
+        B = max(1, _BLOCK_ENTRIES // K)
+        blocks = [slice(s, min(s + B, P)) for s in range(0, P, B)]
+        # the keys are laid out block after block, so the blocks of cross_map
+        # are views of the one buffer that the inverse fills
+        key = np.empty(K * P, dtype=np.int64)
+        for b in blocks:
+            k, l = pair_k[b], self.neighborhoods[pair_j[b]].T
+            key[K * b.start : K * b.stop] = (np.minimum(k, l) * self.n + np.maximum(k, l)).ravel()
+        # np.unique(key, return_inverse=True) by hand, freeing temporaries as
+        # it goes: np.unique holds about twice as many at once, which at
+        # n = 1500 raised a local-match run's peak RSS by 15%
+        order = np.argsort(key)
+        key = key[order]
         first = np.empty(key.size, dtype=bool)
         first[0] = True
         np.not_equal(key[1:], key[:-1], out=first[1:])
@@ -401,7 +415,11 @@ class Graph:
         rank -= 1
         cross_map = np.empty_like(rank)
         cross_map[order] = rank
-        return uniq // self.n, uniq % self.n, cross_map.reshape(-1, len(pairs))
+        return (
+            uniq // self.n,
+            uniq % self.n,
+            tuple(cross_map[K * b.start : K * b.stop].reshape(K, -1) for b in blocks),
+        )
 
 
 def knn_neighborhoods(dist, K: int) -> np.ndarray:

@@ -454,7 +454,9 @@ class TestExitCodeRule:
              "--noise applies to --kind two-moons only"),
             ("benchmark", ["--seeds", -1], "seed must be an integer >= 0"),
             ("benchmark", ["--seeds", ","], "seeds must name at least one seed"),
-            ("benchmark", ["--train-labels", 100], "2l <= n"),
+            ("benchmark", ["--train-labels", 100], "2l < n"),
+            # n/2 labels each for train and validation leave no test row
+            ("benchmark", ["--train-labels", 30], "need 2l < n, or the test set is empty"),
             ("benchmark", ["--methods", "I,LNP"], "unknown method 'LNP'"),
             ("benchmark", ["--methods", ","], "methods must name at least one method"),
             ("benchmark", ["--methods", "GRF", "--delta", -1, "--warm-start", -5],
@@ -463,6 +465,11 @@ class TestExitCodeRule:
             ("propagate", ["--sigma-f", 1e-200], "sigma_f must be positive with a nonzero square"),
             ("benchmark", ["--grid-sigma-f", 1e-200],
              "sigma_f must be positive with a nonzero square"),
+            # an infinite scale makes every q 1, the isotropic field
+            ("propagate", ["--sigma-f", "inf", "--variant", "match"],
+             "sigma_f must be positive with a nonzero square and finite, got inf"),
+            ("benchmark", ["--grid-sigma-f", "inf"],
+             "sigma_f must be positive with a nonzero square and finite, got inf"),
         ],
     )
     def test_bad_argument_usage_error(self, paths, capsys, command, extra, message):

@@ -146,11 +146,12 @@ class TestSplitLabels:
 
     @pytest.mark.parametrize(
         "sizes, l",
-        [((1, 9), 2), ((1, 1, 8), 3), ((1, 1, 1, 5), 4), ((1, 2, 3), 3), ((5, 5), 5)],
+        [((1, 9), 2), ((1, 1, 8), 3), ((1, 1, 1, 6), 4), ((1, 2, 4), 3), ((5, 6), 5)],
     )
     def test_small_classes_at_the_limits(self, sizes, l):
-        # l = c or 2l = n: some class pools run dry, and the draw still
-        # fills both sets from the larger ones
+        # l = c or 2l = n - 1, the most labels that leave a test row: some
+        # class pools run dry, and the draw still fills both sets from the
+        # larger ones
         labels = np.repeat(np.arange(len(sizes)), sizes)
         ds = Dataset("limits", labels, features=np.zeros((len(labels), 1)))
         for seed in range(4):
@@ -169,6 +170,8 @@ class TestSplitLabels:
             split_labels(ds, 1, seed=0)  # l < c
         with pytest.raises(ParameterError):
             split_labels(ds, 60, seed=0)  # 2l > n
+        with pytest.raises(ParameterError, match="need 2l < n, or the test set is empty"):
+            split_labels(ds, 50, seed=0)  # 2l = n
 
     @pytest.mark.parametrize(
         "l, seed, message",

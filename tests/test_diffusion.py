@@ -635,6 +635,7 @@ class TestConfigValidation:
             dict(T=-1),
             dict(sigma_f=0.0),
             dict(sigma_f=1e-200),  # its square underflows to 0
+            dict(sigma_f=np.inf),  # every q would be 1
             dict(delta=-0.5),
             dict(delta=np.inf),
             dict(delta=np.nan),

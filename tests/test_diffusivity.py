@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anisodiff import diffusivity as diffusivity_mod
+from anisodiff import graph as graph_mod
 from anisodiff.diffusivity import (
     MutualSums,
+    edge_sqnorms,
     gaussian_diffusivity,
     local_match_weights,
     plain_weights,
@@ -306,7 +309,10 @@ class TestLocalMatchWeights:
         )
         assert np.abs(dense_field(g, wd.wD) - oracle).max() < 1e-12
 
-    def test_deduplicated_kernel_matches_blocked_reference(self):
+    @staticmethod
+    def _kernel_cases():
+        """(graph, K) pairs and f's for the kernel tests, the graphs new, so
+        their cross pairs are built at the block size in force."""
         rng = np.random.default_rng(18)
         _, g = random_knn_graph(rng, 35, 5)
         graphs = [(g, 5)]
@@ -321,6 +327,10 @@ class TestLocalMatchWeights:
             # few distinct rows: tied minima and zero cross distances
             rng.integers(0, 2, size=(35, 3)).astype(float),
         ]
+        return graphs, fs
+
+    def test_deduplicated_kernel_matches_blocked_reference(self):
+        graphs, fs = self._kernel_cases()
         for (g, K), f in itertools.product(graphs, fs):
             pairs, slot_map = g.match_structure
             pair_k, pair_j = np.divmod(pairs, g.n)
@@ -334,6 +344,24 @@ class TestLocalMatchWeights:
             direct = g.weights.data * per_entry(g, q) * boost
             sym = 0.5 * (direct + direct[g.mirror])
             assert np.array_equal(local_match_weights(g, q, f, sigma_f).wD, sym)
+
+    @pytest.mark.parametrize("rows_entries, map_entries", [(3, 7), (7, 3)])
+    def test_kernel_across_block_boundaries(self, monkeypatch, rows_entries, map_entries):
+        # every input above fits in one block at the module's size; these
+        # sizes give blocks of 1 to 7 pairs, so many blocks and short last ones
+        monkeypatch.setattr(diffusivity_mod, "_BLOCK_ENTRIES", rows_entries)
+        monkeypatch.setattr(graph_mod, "_BLOCK_ENTRIES", map_entries)
+        graphs, fs = self._kernel_cases()
+        for (g, K), f in itertools.product(graphs, fs):
+            pair_k, pair_j = np.divmod(g.match_structure[0], g.n)
+            f = np.ascontiguousarray(f)
+            assert len(g.cross_pairs[2]) == -(-len(pair_k) // max(1, map_entries // K))
+            mu = min_cross_sqdist_blocked(pair_k, pair_j, g.neighborhoods, f)
+            assert np.array_equal(_min_cross_sqdist(g, f), mu)
+            i, j, _ = g.undirected_edges
+            diff = np.take(f, j, axis=0)
+            diff -= np.take(f, i, axis=0)
+            assert np.array_equal(edge_sqnorms(g, f), np.einsum("pc,pc->p", diff, diff))
 
     def test_exactly_symmetric_and_positive(self):
         rng = np.random.default_rng(19)

@@ -298,6 +298,10 @@ class TestGridSpecValidation:
         with pytest.raises(ParameterError, match="sigma_f must be positive with a nonzero square"):
             GridSpec(sigma_f_values=(0.1, 1e-200))
 
+    def test_infinite_sigma_f_rejected(self):
+        with pytest.raises(ParameterError, match="and finite, got inf"):
+            GridSpec(sigma_f_values=(0.1, np.inf))
+
     def test_fractional_K_or_T_rejected(self):
         # int() in the search would have run K=5, T=10 without a word
         for kwargs in ({"K_values": (5.7,)}, {"T_values": (10, 10.9)}):

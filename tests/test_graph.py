@@ -501,20 +501,29 @@ class TestGraphValidation:
             assert (min(r, c), max(r, c)) == (i[e], j[e])
         assert pairs == set(zip(i.tolist(), j.tolist())) | set(zip(j.tolist(), i.tolist()))
 
-    def test_cross_pairs_map_every_slot_to_its_unordered_pair(self):
-        rng = np.random.default_rng(4)
-        _, g = random_knn_graph(rng, 40, 5)
-        pairs, _ = g.match_structure
-        pair_k, pair_j = np.divmod(pairs, g.n)
-        cross_a, cross_b, cross_map = g.cross_pairs
-        keys = list(zip(cross_a.tolist(), cross_b.tolist()))
-        assert keys == sorted(set(keys))
-        assert cross_map.shape == (5, len(pair_k))
-        for p in range(len(pair_k)):
-            k = int(pair_k[p])
-            for b, l in enumerate(g.neighborhoods[pair_j[p]].tolist()):
-                assert keys[cross_map[b, p]] == (min(k, l), max(k, l))
-        assert set(cross_map.ravel().tolist()) == set(range(len(keys)))
+    def test_cross_pairs_map_every_slot_to_its_unordered_pair(self, monkeypatch):
+        # the module's block size (one block here), then blocks of 1 and 2
+        # pairs at K = 5; P = 525 is odd, so the last block of 2 is short
+        for entries in (graph_mod._BLOCK_ENTRIES, 7, 12):
+            monkeypatch.setattr(graph_mod, "_BLOCK_ENTRIES", entries)
+            _, g = random_knn_graph(np.random.default_rng(4), 40, 5)
+            pairs, _ = g.match_structure
+            pair_k, pair_j = np.divmod(pairs, g.n)
+            cross_a, cross_b, cross_map = g.cross_pairs
+            keys = list(zip(cross_a.tolist(), cross_b.tolist()))
+            assert keys == sorted(set(keys))
+            width = max(1, entries // 5)
+            assert len(cross_map) == -(-len(pairs) // width)
+            for block in cross_map:
+                assert block.dtype == np.int64 and block.flags.c_contiguous
+                assert block.shape[0] == 5 and 1 <= block.shape[1] <= width
+            joined = np.concatenate(cross_map, axis=1)
+            assert joined.shape == (5, len(pair_k))
+            for p in range(len(pair_k)):
+                k = int(pair_k[p])
+                for b, l in enumerate(g.neighborhoods[pair_j[p]].tolist()):
+                    assert keys[joined[b, p]] == (min(k, l), max(k, l))
+            assert set(joined.ravel().tolist()) == set(range(len(keys)))
 
 
 class TestStructuresMatchLoopReferences:
