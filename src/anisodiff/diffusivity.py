@@ -33,8 +33,8 @@ def _check_f(graph: Graph, f) -> np.ndarray:
     f = np.ascontiguousarray(f, dtype=np.float64)
     if f.ndim == 1:
         f = f[:, None]
-    if f.ndim != 2 or f.shape[0] != graph.n:
-        raise ShapeError(f"f must be (n, c) with n={graph.n}, got {f.shape}")
+    if f.ndim != 2 or f.shape[0] != graph.n or f.shape[1] < 1:
+        raise ShapeError(f"f must be (n, c) with n={graph.n} and c >= 1, got {f.shape}")
     if not np.isfinite(f).all():
         raise ShapeError("f contains non-finite entries")
     return f
@@ -48,7 +48,7 @@ def _sqdist(f: np.ndarray, a, b) -> np.ndarray:
     the block size.
     """
     out = np.empty(len(a))
-    block = max(1, _BLOCK_ENTRIES // max(1, f.shape[1]))
+    block = max(1, _BLOCK_ENTRIES // f.shape[1])
     for s in range(0, len(a), block):
         rows = slice(s, s + block)
         # np.take of whole rows is much faster than fancy indexing of a 2-D array
@@ -219,6 +219,8 @@ def variant_weights(
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if variant == "isotropic":
+        # q == 1 never reads f, but a malformed f is an error all the same
+        _check_f(graph, f)
         return AnisotropicWeights(graph.weights.data)
     if sqnorms is None:
         sqnorms = edge_sqnorms(graph, f)

@@ -25,21 +25,22 @@ from .diffusivity import _check_sigma_f
 from .errors import DivergenceError, InputError, ParameterError, UnlabeledComponentError
 from .graph import build_knn_graph, usable_cpus
 
-# method -> (variant, mode, cost factor).  The factor is the relative cost of
-# one full sigma_f column per stored graph entry and step, and for GRF of its
-# sparse solve per stored entry.  Slice times on two-moons n=600 (default
-# grid, one seed, every column run), as multiples of I's at the same K
-# (K = 5, 10, 20): A_lin 0.96-1.03, A_nlin 2.4-3.4, A_S 4.3-9.7, A_LM 10-37,
-# and GRF 37-84 per entry.  grid_search skips the cells that cannot win, so
-# _slice_cost, the cost of a (method, seed)'s search over every K, is an
-# upper bound; the shares only need the searches' costs roughly right.
+# method -> (variant, mode, price).  _shares deals the (method, seed)
+# searches by these fixed prices, the default grid's columns x steps over 20.
+# A pruned search's work follows its split seed, not the grid: ms per
+# _run_slice on two_moons(600, 0.1, seed=0), default grid, train_labels=4,
+# in one process after a warm-up, median of 3:
+#   seed 0:   I 10.9, A_lin 44.4, A_nlin 98.6, A_S 258.4, GRF 7.7 (seed 4: A_S 138.4,
+#             the rest within 25%)
+#   seed 1-3: I 1.0-1.2, A_lin 1.1-1.2, A_nlin 1.6-1.7, A_S 2.4-3.5, GRF 7.0-7.5
+#   criterion 6, sum of 10 seeds: I 35, A_lin 123, A_nlin 290, A_S 552, A_LM 1,203
 _METHODS = {
-    "I": ("isotropic", "linear", 1.0),
-    "A_lin": ("plain", "linear", 1.0),
-    "A_nlin": ("plain", "nonlinear", 3.0),
-    "A_S": ("smooth", "nonlinear", 8.0),
-    "A_LM": ("local_match", "nonlinear", 30.0),
-    "GRF": (None, None, 80.0),
+    "I": ("isotropic", "linear", 11),
+    "A_lin": ("plain", "linear", 55),
+    "A_nlin": ("plain", "nonlinear", 165),
+    "A_S": ("smooth", "nonlinear", 440),
+    "A_LM": ("local_match", "nonlinear", 1650),
+    "GRF": (None, None, 4),
 }
 
 METHODS = tuple(_METHODS)
@@ -179,15 +180,6 @@ class BenchmarkReport:
     rows: tuple
 
 
-def _slice_cost(grid: GridSpec, warm_start_steps: int, method: str) -> float:
-    # every task reads the same graphs, so their entries are a common factor
-    cost = _METHODS[method][2]
-    if method == "GRF":
-        return cost
-    columns = 1 if method == "I" else len(grid.sigma_f_values)
-    return cost * columns * (warm_start_steps + max(grid.T_values))
-
-
 def _run_slice(dataset, grid, graphs, train_labels, delta, warm_start_steps, method, seed):
     """The search of (method, seed) over every K: (selected, test error, seconds).
 
@@ -238,23 +230,26 @@ def _run_forked(share) -> dict:
     return {task: _forked["run"](*task) for task in share}
 
 
-def _shares(costs, processes: int) -> list:
+def _shares(tasks, processes: int) -> list:
     """Task indices per process: costliest first, each to the least-loaded.
 
-    Ties go to the lower process, so process 0 takes the costliest task.
-    The shares depend on the costs alone, never on timing.
+    A (method, seed) task costs its method's price in ``_METHODS``.  Ties go
+    to the lower process, so process 0 takes the costliest task.  The shares
+    depend on the methods and the process count alone, never on the grid or
+    on timing.
     """
-    loads = [0.0] * processes
+    prices = [_METHODS[method][2] for method, _ in tasks]
+    loads = [0] * processes
     shares = [[] for _ in range(processes)]
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+    for i in sorted(range(len(tasks)), key=lambda i: -prices[i]):
         p = loads.index(min(loads))
         shares[p].append(i)
-        loads[p] += costs[i]
+        loads[p] += prices[i]
     return shares
 
 
-def _run_slices(run, tasks, costs) -> dict:
-    """``{task: run(*task)}`` for every task, in :func:`_shares` of ``costs``.
+def _run_slices(run, tasks) -> dict:
+    """``{task: run(*task)}`` for every (method, seed) task, in :func:`_shares`.
 
     One process per usable CPU, up to one per task: the calling process runs
     share 0 and forks a child per further share, and every child is joined
@@ -272,7 +267,7 @@ def _run_slices(run, tasks, costs) -> dict:
         or multiprocessing.current_process().daemon
     ):
         processes = 1
-    own, *others = ([tasks[i] for i in share] for share in _shares(costs, processes))
+    own, *others = ([tasks[i] for i in share] for share in _shares(tasks, processes))
     pool = contextlib.nullcontext()
     if others:
         pool = ProcessPoolExecutor(
@@ -339,7 +334,7 @@ def benchmark(
     run = functools.partial(_run_slice, dataset, grid, graphs, l, delta, warm_start_steps)
     # a repeated method or seed reads the one run of its search
     tasks = list(dict.fromkeys(itertools.product(methods, seeds)))
-    results = _run_slices(run, tasks, [_slice_cost(grid, warm_start_steps, m) for m, _ in tasks])
+    results = _run_slices(run, tasks)
     rows = []
     for method in methods:
         selected, errors, seconds = zip(*(results[method, seed] for seed in seeds))

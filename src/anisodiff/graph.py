@@ -485,8 +485,9 @@ def gaussian_weights(dist, sigma_x: float, neighborhoods) -> Graph:
     An edge (j, k) exists when j is in the kNN list of k or vice versa.
     Both directions of a pair read D at (min, max), so symmetry is exact.
     """
-    if not sigma_x > 0:
-        raise ParameterError(f"sigma_x must be positive, got {sigma_x}")
+    # an infinite scale makes every weight 1, an unweighted kNN graph
+    if not 0 < sigma_x < np.inf:
+        raise ParameterError(f"sigma_x must be positive and finite, got {sigma_x}")
     D, nbrs = _distances_and_lists(dist, neighborhoods)
     n, K = nbrs.shape
     # the union pattern P + P^T of the lists in one CSR

@@ -470,6 +470,9 @@ class TestExitCodeRule:
              "sigma_f must be positive with a nonzero square and finite, got inf"),
             ("benchmark", ["--grid-sigma-f", "inf"],
              "sigma_f must be positive with a nonzero square and finite, got inf"),
+            # the same for sigma_x: every weight would be 1
+            ("build-graph", ["--K", 4, "--sigma-x", "inf"],
+             "sigma_x must be positive and finite, got inf"),
         ],
     )
     def test_bad_argument_usage_error(self, paths, capsys, command, extra, message):

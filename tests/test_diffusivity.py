@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from anisodiff import diffusivity as diffusivity_mod
 from anisodiff import graph as graph_mod
+from anisodiff.data import two_moons
 from anisodiff.diffusivity import (
+    VARIANTS,
     MutualSums,
     edge_sqnorms,
     gaussian_diffusivity,
@@ -20,7 +22,7 @@ from anisodiff.diffusivity import (
 )
 from anisodiff.errors import ParameterError, ShapeError
 from anisodiff.graph import Graph, build_knn_graph, pairwise_distances
-from anisodiff.laplacian import regularizer_energy
+from anisodiff.laplacian import LaplacianOperator, regularizer_energy
 
 from conftest import triangle_graph
 from oracles import (
@@ -99,6 +101,29 @@ def test_isotropic_variant_is_the_graph_weights():
     wd = variant_weights(g, f, 0.3, "isotropic")
     assert np.array_equal(wd.wD, g.weights.data)
     assert regularizer_energy(g, wd, f) == regularizer_energy(g, None, f)
+
+
+_TAKES_F = {
+    "edge_sqnorms": lambda g, f: edge_sqnorms(g, f),
+    "gaussian_diffusivity": lambda g, f: gaussian_diffusivity(g, f, 0.5),
+    **{
+        f"variant_weights-{v}": lambda g, f, v=v: variant_weights(g, f, 0.5, v)
+        for v in VARIANTS
+    },
+    "local_match_weights": lambda g, f: local_match_weights(g, np.ones(len(g.upper)), f, 0.5),
+    "operator": lambda g, f: LaplacianOperator(g)(f),
+    "operator-step": lambda g, f: LaplacianOperator(g).step(f, 0.1),
+    "regularizer_energy": lambda g, f: regularizer_energy(g, None, f),
+}
+
+
+@pytest.mark.parametrize("call", _TAKES_F.values(), ids=_TAKES_F)
+def test_f_without_columns_is_rejected(call):
+    # an (n, 0) f would make every q 1 and the operator's output (n, 0)
+    ds = two_moons(30, 0.1, seed=0)
+    g = build_knn_graph(ds.distance_matrix, 4)
+    with pytest.raises(ShapeError, match="c >= 1"):
+        call(g, np.zeros((30, 0)))
 
 
 class TestPlainWeights:

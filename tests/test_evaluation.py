@@ -472,12 +472,32 @@ class TestGrfSearch:
         # so the cut graph loses at the smaller K to a solvable one
         assert self.search(ds, {3: cut, 7: g})[:2] == ("K:7", self.errors(ds, g)[1])
 
-    def test_cost_grows_with_the_grid_not_the_graph(self):
-        grid, wide = GridSpec(), GridSpec(T_values=(5, 500), sigma_f_values=(0.1, 0.2, 0.4))
-        # GRF solves once per graph whatever T and sigma_f are
-        cost = evaluation._slice_cost(grid, 10, "GRF")
-        assert cost == evaluation._slice_cost(wide, 10, "GRF") == evaluation._METHODS["GRF"][2]
-        assert evaluation._slice_cost(wide, 10, "A_lin") > evaluation._slice_cost(grid, 10, "A_lin")
+
+def test_split_follows_the_methods_not_the_grid(monkeypatch):
+    sweep = ["I", "A_lin", "A_nlin", "A_S", "GRF"]
+    tasks = [(m, 0) for m in sweep]
+    # A_S's price outweighs the other four searches' together
+    split = evaluation._shares(tasks, 2)
+    assert [[tasks[i][0] for i in share] for share in split] == [
+        ["A_S"], ["A_nlin", "A_lin", "I", "GRF"]
+    ]
+    # benchmark deals the same shares on the default grid and a wide one
+    dealt = []
+    real = evaluation._shares
+
+    def recorded(*args):
+        dealt.append(real(*args))
+        return dealt[-1]
+
+    monkeypatch.setattr(evaluation, "_shares", recorded)
+    monkeypatch.setattr(evaluation, "_run_slice", lambda *args: ("K:5", 0.0, 1.0))
+    ds = two_moons(40, 0.1, seed=1)
+    wide = GridSpec(T_values=(5, 500), sigma_f_values=(0.1, 0.2, 0.4))
+    with processes(2):
+        for grid in (GridSpec(), wide):
+            benchmark(ds, sweep, [0], grid, train_labels=4)
+    assert dealt == [split, split]
+    assert not multiprocessing.active_children()
 
 
 class TestParallelBenchmark:

@@ -416,6 +416,13 @@ class TestGaussianWeights:
         with pytest.raises(ParameterError):
             gaussian_weights(D, 0.0, nbrs)
 
+    @pytest.mark.parametrize("sigma_x", [np.inf, np.nan])
+    def test_sigma_must_be_finite(self, sigma_x):
+        # an infinite scale would make every weight 1, an unweighted kNN graph
+        D = dist_from_points([0.0, 1.0, 3.0])
+        with pytest.raises(ParameterError, match="sigma_x must be positive and finite"):
+            gaussian_weights(D, sigma_x, knn_neighborhoods(D, 1))
+
 
 class TestGraphValidation:
     @pytest.mark.parametrize(
