@@ -24,14 +24,7 @@ from .diffusion import (
     run_diffusion,
     write_energy_trace,
 )
-from .errors import (
-    DegenerateDataError,
-    DivergenceError,
-    InputError,
-    ParameterError,
-    ShapeError,
-    UnlabeledComponentError,
-)
+from .errors import AnisodiffError, InputError, ParameterError
 from .graph import (
     auto_sigma_x,
     build_knn_graph,
@@ -345,14 +338,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         # the library raises it for an argument outside its range
         parser.error(str(exc))
-    except (
-        InputError,
-        ShapeError,
-        DegenerateDataError,
-        DivergenceError,
-        UnlabeledComponentError,
-        OSError,
-    ) as exc:
+    except (AnisodiffError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

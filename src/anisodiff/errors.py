@@ -1,27 +1,31 @@
 """Exception types shared across the package."""
 
 
-class ParameterError(ValueError):
+class AnisodiffError(Exception):
+    """Base of every error the package raises on purpose."""
+
+
+class ParameterError(AnisodiffError, ValueError):
     """A hyper-parameter or argument is outside its valid range."""
 
 
-class DegenerateDataError(ValueError):
+class DegenerateDataError(AnisodiffError, ValueError):
     """The data admits no meaningful scale (e.g. all pairwise distances zero)."""
 
 
-class ShapeError(ValueError):
+class ShapeError(AnisodiffError, ValueError):
     """Array dimensions do not match the graph or each other."""
 
 
-class InputError(ValueError):
+class InputError(AnisodiffError, ValueError):
     """A file or label list failed to parse or violates its format contract."""
 
 
-class DivergenceError(ArithmeticError):
+class DivergenceError(AnisodiffError, ArithmeticError):
     """An explicit Euler step produced non-finite values."""
 
 
-class UnlabeledComponentError(ValueError):
+class UnlabeledComponentError(AnisodiffError, ValueError):
     """A connected component contains no labeled node, so the harmonic
     system restricted to it is singular."""
 

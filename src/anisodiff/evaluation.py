@@ -23,7 +23,7 @@ from . import diffusion
 from .diffusion import DiffusionConfig, _check_integer, decode_labels, init_labels
 from .diffusivity import _check_sigma_f
 from .errors import DivergenceError, InputError, ParameterError, UnlabeledComponentError
-from .graph import build_knn_graph, usable_cpus
+from .graph import _check_K, build_knn_graph, usable_cpus
 
 # method -> (variant, mode, price).  _shares deals the (method, seed)
 # searches by these fixed prices, the default grid's columns x steps over 20.
@@ -128,7 +128,8 @@ def grid_search(
     sigmas = list(map(float, sigmas))
     state = init_labels(zip(split.train, y[split.train]), dataset.n, dataset.c)
     graphs = {} if graph_cache is None else graph_cache
-    for K in sorted(map(int, grid.K_values)):
+    # every K up front: a search that never reaches a K builds no graph for it
+    for K in sorted(_check_K(v, dataset.n) for v in grid.K_values):
         for sigma_f in sigmas:
             trajectory = None
             for T in T_values:
@@ -359,23 +360,16 @@ def benchmark(
 # report serialization
 
 
-def report_table(report: BenchmarkReport, include_timing: bool = False) -> str:
-    """Human-readable aligned table."""
+def report_table(report: BenchmarkReport) -> str:
+    """Human-readable aligned table; like :func:`report_kv`, it leaves timing out."""
     header = ["method", "mean_error%", "sd_error"]
-    if include_timing:
-        header.append("mean_seconds")
     lines = [
         f"dataset: {report.dataset}",
         f"seeds: {','.join(str(s) for s in report.seeds)}",
         f"train_labels: {report.train_labels}",
         "",
     ]
-    rows = []
-    for r in report.rows:
-        row = [r.method, f"{r.mean_error:.2f}", f"{r.sd_error:.2f}"]
-        if include_timing:
-            row.append(f"{r.mean_seconds:.3f}")
-        rows.append(row)
+    rows = [[r.method, f"{r.mean_error:.2f}", f"{r.sd_error:.2f}"] for r in report.rows]
     widths = [
         max([len(h)] + [len(r[k]) for r in rows]) for k, h in enumerate(header)
     ]

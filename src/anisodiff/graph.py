@@ -422,6 +422,17 @@ class Graph:
         )
 
 
+def _check_K(K, n: int) -> int:
+    """K as an int, checked to be a neighbor count of n points."""
+    try:
+        K = operator.index(K)
+    except TypeError:
+        raise ParameterError(f"K must be an integer, got {K!r}") from None
+    if not 1 <= K <= n - 1:
+        raise ParameterError(f"K must satisfy 1 <= K <= n-1 = {n - 1}, got {K}")
+    return K
+
+
 def knn_neighborhoods(dist, K: int) -> np.ndarray:
     """(n, K) nearest-neighbor index lists, self excluded.
 
@@ -431,12 +442,7 @@ def knn_neighborhoods(dist, K: int) -> np.ndarray:
     """
     D = validate_distances(dist)
     n = D.shape[0]
-    try:
-        K = operator.index(K)
-    except TypeError:
-        raise ParameterError(f"K must be an integer, got {K!r}") from None
-    if not 1 <= K <= n - 1:
-        raise ParameterError(f"K must satisfy 1 <= K <= n-1 = {n - 1}, got {K}")
+    K = _check_K(K, n)
     # the K + 1 smallest entries of each row; they are the first K + 1 of a
     # stable sort unless more entries share the cutoff distance, the (K+1)-th
     # smallest, and such tied rows take the stable sort itself

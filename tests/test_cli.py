@@ -3,10 +3,11 @@ import concurrent.futures
 import numpy as np
 import pytest
 
-from anisodiff import evaluation
+from anisodiff import cli, evaluation
 from anisodiff.cli import _config_from_args, build_parser, main
 from anisodiff.diffusion import DiffusionConfig
 from anisodiff.data import (
+    gaussian_blobs,
     read_features,
     read_label_pairs,
     read_manifest,
@@ -15,6 +16,7 @@ from anisodiff.data import (
     write_graph_triplets,
     write_labels,
 )
+from anisodiff.errors import AnisodiffError, ParameterError
 from anisodiff.graph import build_knn_graph, pairwise_distances
 
 
@@ -331,6 +333,34 @@ class TestBenchmark:
             "method=I", "method=GRF"
         ]
 
+    @pytest.mark.parametrize(
+        "synth_flags, dataset, train_labels",
+        [
+            (["--kind", "two-moons"], lambda: two_moons(60, 0.1, seed=0), 4),
+            (["--kind", "blobs", "--classes", 4, "--separation", 3],
+             lambda: gaussian_blobs(60, 4, 3.0, 2, seed=0), 8),
+        ],
+        ids=["two-moons", "blobs"],
+    )
+    def test_synth_then_benchmark_is_the_library_comparison(
+        self, tmp_path, synth_flags, dataset, train_labels
+    ):
+        data = tmp_path / "data"
+        assert run_cli(["synth", *synth_flags, "--n", 60, "--out", data]) == 0
+        code = run_cli(
+            ["benchmark", "--features", data / "features.txt",
+             "--labels", data / "labels.txt", "--methods", "I,GRF",
+             "--seeds", "0,1", "--train-labels", train_labels, "--out", tmp_path / "r"]
+        )
+        assert code == 0
+        report = evaluation.benchmark(dataset(), ["I", "GRF"], [0, 1], train_labels=train_labels)
+        # the dataset= line names the file's dataset, not the generator's
+        kv, expected = (
+            [ln for ln in text.splitlines() if not ln.startswith("dataset=")]
+            for text in ((tmp_path / "r.kv").read_text(), evaluation.report_kv(report))
+        )
+        assert kv == expected
+
     def test_reports_identical_for_one_or_two_processes(self, tmp_path, monkeypatch):
         out = synth_moons(tmp_path, n=60, seed=11)
         args = [
@@ -406,8 +436,33 @@ _BASE = {
 }
 
 
+def _error_classes(base=AnisodiffError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
 class TestExitCodeRule:
     """A bad argument is a usage error in every subcommand; bad file contents are not."""
+
+    @pytest.mark.parametrize("error", list(_error_classes()), ids=lambda cls: cls.__name__)
+    def test_each_package_error_has_its_exit_code(self, tmp_path, capsys, monkeypatch, error):
+        # one argument fits every constructor; UnlabeledComponentError's is the nodes
+        exc = error([3, 4])
+
+        def fail(parser, args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_synth", fail)
+        args = ["synth", "--kind", "two-moons", "--n", 10, "--out", tmp_path / "x"]
+        if error is ParameterError:
+            with pytest.raises(SystemExit) as stop:
+                run_cli(args)
+            assert stop.value.code == 2
+            assert capsys.readouterr().err.endswith(f"anisodiff: error: {exc}\n")
+        else:
+            assert run_cli(args) == 1
+            assert capsys.readouterr().err == f"error: {exc}\n"
 
     @pytest.fixture
     def paths(self, tmp_path):

@@ -161,6 +161,14 @@ class TestGridSearch:
         assert err == 100.0
         assert config.T == 400
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_k_of_n_or_more_rejected_on_every_split(self, seed):
+        # at seeds 0, 3 and 4 a cell at K=5 scores 0, so no search reaches K=500
+        ds = two_moons(60, 0.1, seed=0)
+        split = split_labels(ds, 4, seed=seed)
+        with pytest.raises(ParameterError, match=r"K must satisfy 1 <= K <= n-1 = 59, got 500"):
+            grid_search(GridSpec(K_values=(5, 500)), ds, split)
+
 
 class TestPrunedSearch:
     """Skipping the cells that cannot win selects what the full grid selects."""
