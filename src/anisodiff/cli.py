@@ -291,6 +291,8 @@ def cmd_benchmark(parser, args) -> int:
             K_values=tuple(int(v) for v in args.grid_K.split(",")),
             T_values=tuple(int(v) for v in args.grid_T.split(",")),
             sigma_f_values=tuple(float(v) for v in args.grid_sigma_f.split(",")),
+            delta=args.delta,
+            warm_start_steps=args.warm_start,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -299,15 +301,7 @@ def cmd_benchmark(parser, args) -> int:
     labels, mapping = datamod.read_labels(args.labels, D.shape[0])
     _report_mapping(mapping)
     ds = datamod.Dataset("cli-dataset", labels, distances=D)
-    report = evaluation.benchmark(
-        ds,
-        methods,
-        seeds,
-        grid,
-        train_labels=args.train_labels,
-        delta=args.delta,
-        warm_start_steps=args.warm_start,
-    )
+    report = evaluation.benchmark(ds, methods, seeds, grid, train_labels=args.train_labels)
     out_txt = args.out + ".txt"
     out_kv = args.out + ".kv"
     with open(out_txt, "w") as fh:

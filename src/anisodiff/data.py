@@ -47,6 +47,8 @@ class Dataset:
             raise InputError(
                 f"labels of dataset {self.name!r} must be whole numbers in a 1-D array"
             )
+        if labels.size == 0:
+            raise InputError(f"dataset {self.name!r} has no labels, so no points")
         self.labels = labels.astype(np.int64)
         if self.features is None and self.distances is None:
             raise ParameterError("dataset needs features or distances")
@@ -249,18 +251,21 @@ def read_features(path) -> np.ndarray:
 def read_distances(path) -> np.ndarray:
     """Dense n x n matrix, or triplet lines "i j dist".
 
-    Asymmetric inputs are symmetrized by averaging, with a warning.  A square
-    table is read densely when it passes the distance-matrix checks (zero
-    diagonal, nonnegative); a 3-column table that does not is read as
-    triplets.  Of repeated triplet lines for one (i, j) the last counts; a
-    pair given in one direction is mirrored.
+    Asymmetric inputs are symmetrized by averaging, with a warning.  Only a
+    3-column table can be triplets: a 3 x 3 table is read densely when it
+    passes the distance-matrix checks (zero diagonal, nonnegative), any other
+    square table always.  Of repeated triplet lines for one (i, j) the last
+    counts; a pair given in one direction is mirrored.
     """
     table = _read_table(path)
-    # the minimum is NaN if any entry is, so a NaN table is not read densely
-    lo, asym = _scan_distances(table) if table.shape[0] == table.shape[1] else (np.nan, 0)
-    if lo >= 0 and not np.diagonal(table).any():
-        # an infinite asymmetry is an infinite entry, which the checks reject
-        if DISTANCE_SYMMETRY_TOL < asym < np.inf:
+    square = table.shape[0] == table.shape[1]
+    # the minimum is NaN if any entry is, so a NaN table does not pass
+    lo, asym = _scan_distances(table) if square else (np.nan, 0)
+    passes = lo >= 0 and not np.diagonal(table).any()
+    if square and (passes or table.shape[1] != 3):
+        # an infinite asymmetry is an infinite entry, which the checks reject;
+        # a table that fails them is not averaged, so the checks name its fault
+        if passes and DISTANCE_SYMMETRY_TOL < asym < np.inf:
             warnings.warn(
                 f"{path}: distances asymmetric by {asym:.3e}; averaging",
                 stacklevel=2,

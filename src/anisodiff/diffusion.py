@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusivity import (
-    VARIANTS, MutualSums, _check_sigma_f, edge_sqnorms, variant_weights
+    VARIANTS, MutualSums, _check_f, _check_sigma_f, edge_sqnorms, variant_weights
 )
 from .errors import InputError, ParameterError
 from .graph import Graph
@@ -108,7 +108,8 @@ def warm_start(graph: Graph, f0, steps: int, delta: float) -> np.ndarray:
     """Run `steps` isotropic Euler steps to smooth the initial distribution."""
     _check_integer("steps", steps, 0)
     _check_delta(delta)
-    f = np.array(f0, dtype=np.float64)
+    # a new (n, c) array, checked as a step checks it, also for zero steps
+    f = _check_f(graph, np.array(f0, dtype=np.float64))
     if steps == 0:
         return f
     op = LaplacianOperator(graph)

@@ -48,13 +48,16 @@ METHODS = tuple(_METHODS)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Hyper-parameter grid for one diffusion variant."""
+    """One search: the hyper-parameter grid, and the variant, mode, step size
+    and warm start that every cell of it shares."""
 
     K_values: tuple = (5, 10, 20)
     T_values: tuple = (10, 50, 100, 200)
     sigma_f_values: tuple = (0.05, 0.1, 0.2, 0.5, 1.0)
     variant: str = DiffusionConfig.variant
     mode: str = DiffusionConfig.mode
+    delta: float = DiffusionConfig.delta
+    warm_start_steps: int = DiffusionConfig.warm_start_steps
 
     def __post_init__(self):
         # int() would silently truncate a fractional K or T
@@ -73,6 +76,10 @@ class GridSpec:
             object.__setattr__(self, name, tuple(dict.fromkeys(values)))
         for sigma_f in self.sigma_f_values:
             _check_sigma_f(sigma_f)
+        DiffusionConfig(
+            delta=self.delta, warm_start_steps=self.warm_start_steps,
+            variant=self.variant, mode=self.mode,
+        )
 
 
 def error_rate(predicted, truth, eval_indices) -> float:
@@ -98,8 +105,6 @@ def grid_search(
     dataset: Dataset,
     split: SplitSpec,
     *,
-    delta: float = DiffusionConfig.delta,
-    warm_start_steps: int = DiffusionConfig.warm_start_steps,
     graph_cache: dict | None = None,
 ):
     """Best cell by validation error; returns (config, validation_error, labels).
@@ -139,8 +144,8 @@ def grid_search(
                     if K not in graphs:
                         graphs[K] = build_knn_graph(dataset.distance_matrix, K)
                     config = DiffusionConfig(
-                        K=K, T=T_values[-1], sigma_f=sigma_f, delta=delta,
-                        warm_start_steps=warm_start_steps, variant=grid.variant, mode=grid.mode,
+                        K=K, T=T_values[-1], sigma_f=sigma_f, delta=grid.delta, mode=grid.mode,
+                        warm_start_steps=grid.warm_start_steps, variant=grid.variant,
                     )
                     # the module attribute, so a wrapper set on it sees the search
                     trajectory = diffusion._trajectory(config, graphs[K], state, energies=False)
@@ -181,7 +186,7 @@ class BenchmarkReport:
     rows: tuple
 
 
-def _run_slice(dataset, grid, graphs, train_labels, delta, warm_start_steps, method, seed):
+def _run_slice(dataset, grid, graphs, train_labels, method, seed):
     """The search of (method, seed) over every K: (selected, test error, seconds).
 
     A diffusion method makes one :func:`grid_search`; GRF solves on each
@@ -209,12 +214,7 @@ def _run_slice(dataset, grid, graphs, train_labels, delta, warm_start_steps, met
     else:
         variant, mode, _ = _METHODS[method]
         config, _, labels = grid_search(
-            replace(grid, variant=variant, mode=mode),
-            dataset,
-            split,
-            delta=delta,
-            warm_start_steps=warm_start_steps,
-            graph_cache=graphs,
+            replace(grid, variant=variant, mode=mode), dataset, split, graph_cache=graphs
         )
         selected = f"K:{config.K};T:{config.T};sigma_f:{config.sigma_f:.17g}"
         test = None if labels is None else error_rate(labels, y, split.test)
@@ -292,8 +292,6 @@ def benchmark(
     grid: GridSpec = GridSpec(),
     *,
     train_labels: int | None = None,
-    delta: float = DiffusionConfig.delta,
-    warm_start_steps: int = DiffusionConfig.warm_start_steps,
 ) -> BenchmarkReport:
     """Grid-select on validation and report mean/sd test error per method.
 
@@ -301,7 +299,8 @@ def benchmark(
     it); the default draws two labels per class.  The test error is read
     from the selected cell's own prediction, the one the search scored on
     validation, so nothing is rerun.  A selected diffusion cell that
-    diverged raises :class:`DivergenceError`.
+    diverged raises :class:`DivergenceError`.  Each diffusion method searches
+    ``grid`` with its own variant and mode, at the grid's delta and warm start.
 
     Each (method, seed) is one search over the whole grid, one
     :func:`grid_search` for a diffusion method, which skips the cells that
@@ -329,10 +328,8 @@ def benchmark(
     l = 2 * dataset.c if train_labels is None else train_labels
     _check_integer("train_labels", l, 1)
     _check_label_count(dataset, l)
-    # checks delta and warm_start_steps whichever methods run
-    DiffusionConfig(delta=delta, warm_start_steps=warm_start_steps)
     graphs = {K: build_knn_graph(dataset.distance_matrix, K) for K in map(int, grid.K_values)}
-    run = functools.partial(_run_slice, dataset, grid, graphs, l, delta, warm_start_steps)
+    run = functools.partial(_run_slice, dataset, grid, graphs, l)
     # a repeated method or seed reads the one run of its search
     tasks = list(dict.fromkeys(itertools.product(methods, seeds)))
     results = _run_slices(run, tasks)
@@ -340,7 +337,7 @@ def benchmark(
     for method in methods:
         selected, errors, seconds = zip(*(results[method, seed] for seed in seeds))
         if None in errors:
-            raise DivergenceError(f"diffusion diverged at delta={delta}")
+            raise DivergenceError(f"diffusion diverged at delta={grid.delta}")
         mean = float(np.mean(errors))
         sd = float(np.std(errors, ddof=1)) if len(errors) > 1 else 0.0
         rows.append(

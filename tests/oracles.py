@@ -352,9 +352,7 @@ def benchmark_rerun_errors(dataset, report, *, delta=1.0, warm_start_steps=20):
     return out
 
 
-def grid_search_exhaustive(
-    grid, dataset, split, *, delta=1.0, warm_start_steps=20, graph_cache=None
-):
+def grid_search_exhaustive(grid, dataset, split, *, graph_cache=None):
     """Every (K, T, sigma_f) cell scored, none skipped: (config, error, labels).
 
     The selection rule of ``evaluation.grid_search``: the least key
@@ -381,8 +379,8 @@ def grid_search_exhaustive(
             column = DiffusionConfig(
                 K=K,
                 sigma_f=sigma_f,
-                delta=delta,
-                warm_start_steps=warm_start_steps,
+                delta=grid.delta,
+                warm_start_steps=grid.warm_start_steps,
                 variant=grid.variant,
                 mode=grid.mode,
             )

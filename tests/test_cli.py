@@ -547,8 +547,18 @@ class TestExitCodeRule:
              "distance matrix contains negative entries"),
             # a dense matrix of this n would take terabytes
             ("--distances", "0 1 0.5\n1000000 1 0.5\n", "2 lines for n=1000001 nodes"),
+            # a square table that is not 3 columns wide is read densely
+            ("--distances", "0 1 2 3\n1 0 -1 2\n2 -1 0 1\n3 2 1 0\n",
+             "distance matrix contains negative entries"),
+            ("--distances", "0 1 2 3\n1 0 1 2\n2 1 0.5 1\n3 2 1 0\n",
+             "distance matrix diagonal must be zero"),
+            ("--distances", "0 1 2 3\n1 0 1 nan\n2 1 0 1\n3 nan 1 0\n",
+             "distance matrix contains non-finite entries"),
         ],
-        ids=["features-nan", "triplet-negative", "triplet-sparse"],
+        ids=[
+            "features-nan", "triplet-negative", "triplet-sparse", "dense-negative",
+            "dense-diagonal", "dense-nan",
+        ],
     )
     def test_bad_file_contents_runtime_error(self, paths, capsys, flag, contents, message):
         bad = paths["out"].parent / "bad.txt"
@@ -607,10 +617,4 @@ class TestDefaults:
             run_cli(["benchmark", "--features", data / "features.txt",
                      "--labels", data / "labels.txt", "--methods", "I",
                      "--out", tmp_path / "r"])
-        defaults = DiffusionConfig()
-        assert seen == {
-            "grid": evaluation.GridSpec(),
-            "train_labels": None,
-            "delta": defaults.delta,
-            "warm_start_steps": defaults.warm_start_steps,
-        }
+        assert seen == {"grid": evaluation.GridSpec(), "train_labels": None}

@@ -306,12 +306,22 @@ class TestFileFormats:
             ("0 inf\ninf 0\n", r"dist\.txt: distance matrix contains non-finite entries"),
             ("0 inf\n1 0\n", r"dist\.txt: distance matrix contains non-finite entries"),
             ("0 1e308\n1e308 0\n", None),
-            # a NaN or a negative entry makes it a table of another shape
-            ("0 nan\nnan 0\n", r"dist\.txt: .*'i j dist' triplets, got shape \(2, 2\)"),
-            ("0 -1\n-1 0\n", r"dist\.txt: .*'i j dist' triplets, got shape \(2, 2\)"),
-            ("0 inf\n-1 0\n", r"dist\.txt: .*'i j dist' triplets, got shape \(2, 2\)"),
+            # only a 3-column table can be triplets, so the checks name the fault
+            ("0 nan\nnan 0\n", r"dist\.txt: distance matrix contains non-finite entries"),
+            ("0 -1\n-1 0\n", r"dist\.txt: distance matrix contains negative entries"),
+            ("0 inf\n-1 0\n", r"dist\.txt: distance matrix contains negative entries"),
+            ("0 1\n1 2\n", r"dist\.txt: distance matrix diagonal must be zero"),
+            ("0 1 2 3\n1 0 -1 2\n2 -1 0 1\n3 2 1 0\n",
+             r"dist\.txt: distance matrix contains negative entries"),
+            ("0 1 2 3\n1 0 1 2\n2 1 0.5 1\n3 2 1 0\n",
+             r"dist\.txt: distance matrix diagonal must be zero"),
+            ("0 1 2 3\n1 0 1 nan\n2 1 0 1\n3 nan 1 0\n",
+             r"dist\.txt: distance matrix contains non-finite entries"),
         ],
-        ids=["inf-pair", "one-inf", "largest-finite", "nan", "negative", "inf-and-negative"],
+        ids=[
+            "inf-pair", "one-inf", "largest-finite", "nan", "negative", "inf-and-negative",
+            "diagonal", "4x4-negative", "4x4-diagonal", "4x4-nan",
+        ],
     )
     def test_dense_table_rule(self, tmp_path, text, pattern):
         path = tmp_path / "dist.txt"
@@ -324,6 +334,12 @@ class TestFileFormats:
                 return
             with pytest.raises(InputError, match=pattern):
                 read_distances(path)
+
+    def test_three_by_three_table_read_densely_when_it_passes(self, tmp_path):
+        # as triplets these lines would give another, asymmetric matrix
+        path = tmp_path / "dist.txt"
+        path.write_text("0 1 2\n1 0 1\n2 1 0\n")
+        assert read_distances(path).tolist() == [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
 
     def test_triplet_distances(self, tmp_path):
         path = tmp_path / "trip.txt"
@@ -378,7 +394,6 @@ class TestFileFormats:
             ("0 1 inf\n", r"trip\.txt.*non-finite entries"),
             ("0 0 0\n", r"trip\.txt.*at least 2 points"),
             ("0 1 0.5 9\n", r"trip\.txt.*'i j dist' triplets, got shape \(1, 4\)"),
-            ("0 1\n1 2\n", r"trip\.txt.*'i j dist' triplets, got shape \(2, 2\)"),
             ("0 1 abc\n", r"trip\.txt:1: .*abc"),
             ("0 1 0.5\n1 2\n", r"trip\.txt:2: expected 3 columns, got 2"),
             (",\n", r"trip\.txt:1: a row of only delimiters holds no values"),
@@ -439,6 +454,12 @@ class TestFileFormats:
 
 
 class TestDatasetInvariants:
+    @pytest.mark.parametrize("source", ["features", "distances"])
+    def test_no_points_rejected(self, source):
+        data = {"features": np.zeros((0, 2)), "distances": np.zeros((0, 0))}
+        with pytest.raises(InputError, match="dataset 'x' has no labels"):
+            Dataset("x", np.array([], dtype=int), **{source: data[source]})
+
     def test_contiguous_classes_required(self):
         with pytest.raises(InputError):
             Dataset("bad", np.array([0, 2, 2]), features=np.zeros((3, 2)))

@@ -24,7 +24,7 @@ from anisodiff.diffusion import (
     write_energy_trace,
 )
 from anisodiff.diffusivity import VARIANTS, variant_weights
-from anisodiff.errors import DivergenceError, InputError, ParameterError
+from anisodiff.errors import DivergenceError, InputError, ParameterError, ShapeError
 from anisodiff.graph import Graph
 from anisodiff.laplacian import LaplacianOperator, regularizer_energy
 
@@ -164,7 +164,7 @@ class TestWarmStart:
         with pytest.raises(ParameterError, match="steps must be an integer"):
             warm_start(two_node_graph(), np.zeros((2, 1)), steps, 1.0)
 
-    @pytest.mark.parametrize("steps", [1, 5])
+    @pytest.mark.parametrize("steps", [0, 1, 5])
     def test_one_dimensional_f_is_one_column(self, steps):
         rng = np.random.default_rng(47)
         _, g = random_knn_graph(rng, 30, 4)
@@ -173,6 +173,29 @@ class TestWarmStart:
         column = warm_start(g, f[:, None], steps, 1.0)
         assert flat.shape == (30, 1)
         assert np.array_equal(flat, column)
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    @pytest.mark.parametrize(
+        "f, match",
+        [
+            (np.zeros((3, 2)), r"f must be \(n, c\) with n=60 and c >= 1, got \(3, 2\)"),
+            (np.full((60, 2), np.nan), "f contains non-finite entries"),
+        ],
+        ids=["wrong-shape", "nan"],
+    )
+    def test_bad_f_rejected_for_any_step_count(self, steps, f, match):
+        rng = np.random.default_rng(48)
+        _, g = random_knn_graph(rng, 60, 4)
+        with pytest.raises(ShapeError, match=match):
+            warm_start(g, f, steps, 1.0)
+
+    def test_zero_steps_return_a_copy(self):
+        rng = np.random.default_rng(49)
+        _, g = random_knn_graph(rng, 15, 3)
+        f0 = rng.normal(size=(15, 2))
+        out = warm_start(g, f0, 0, 1.0)
+        out[0, 0] += 1.0
+        assert out[0, 0] != f0[0, 0]
 
     def test_twenty_steps_match_dense_oracle(self):
         rng = np.random.default_rng(45)

@@ -155,9 +155,10 @@ class TestGridSearch:
         # isotropic steps at a huge delta amplify until overflow, so every
         # cell diverges before its T is reached and scores 100
         grid = GridSpec(
-            K_values=(3,), T_values=(400,), sigma_f_values=(0.2,), variant="isotropic"
+            K_values=(3,), T_values=(400,), sigma_f_values=(0.2,), variant="isotropic",
+            delta=1000.0,
         )
-        config, err, _ = grid_search(grid, ds, split, delta=1000.0)
+        config, err, _ = grid_search(grid, ds, split)
         assert err == 100.0
         assert config.T == 400
 
@@ -232,11 +233,13 @@ class TestPrunedSearch:
             sigma_f_values=(5.0, 0.2, 0.01, 1.0, 0.05),
             variant="smooth",
             mode="nonlinear",
+            delta=1000.0,
+            warm_start_steps=0,
         )
         split = split_labels(self.SEPARATED, 4, seed=1)
-        self.assert_full_grid(grid, self.SEPARATED, split, delta=1000.0, warm_start_steps=0)
+        self.assert_full_grid(grid, self.SEPARATED, split)
         columns, _ = self.count_calls(monkeypatch)
-        grid_search(grid, self.SEPARATED, split, delta=1000.0, warm_start_steps=0)
+        grid_search(grid, self.SEPARATED, split)
         diverged, rest = columns[:2], columns[2:]
         assert [column[:2] for column in diverged] == [[3, 0.01], [3, 0.05]]
         assert all(20 < last < 400 for *_, last in diverged)
@@ -251,10 +254,13 @@ class TestPrunedSearch:
         # T=500 score 100 from a single run that goes no further
         ds = gaussian_blobs(40, 2, 10.0, 2, seed=4)
         split = split_labels(ds, 4, seed=4)
-        grid = GridSpec(K_values=(3,), T_values=(500, 400), variant="isotropic")
-        expected = grid_search_exhaustive(grid, ds, split, delta=1000.0, warm_start_steps=0)
+        grid = GridSpec(
+            K_values=(3,), T_values=(500, 400), variant="isotropic", delta=1000.0,
+            warm_start_steps=0,
+        )
+        expected = grid_search_exhaustive(grid, ds, split)
         columns, _ = self.count_calls(monkeypatch)
-        config, err, labels = grid_search(grid, ds, split, delta=1000.0, warm_start_steps=0)
+        config, err, labels = grid_search(grid, ds, split)
         assert (config, err, labels) == expected == (replace(config, T=400), 100.0, None)
         [[K, sigma_f, last]] = columns
         assert (K, sigma_f) == (3, 0.05) and last < 400
@@ -317,6 +323,27 @@ class TestGridSpecValidation:
                 GridSpec(**kwargs)
         grid = GridSpec(K_values=(np.int64(5),), T_values=(np.int32(10),))
         assert grid.K_values == (5,)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(delta=0), "delta must be positive"),
+            (dict(delta=float("inf")), "delta must be positive and finite, got inf"),
+            (dict(warm_start_steps=-1), "warm_start_steps must be an integer >= 0"),
+            (dict(warm_start_steps=2.5), "warm_start_steps must be an integer >= 0"),
+            (dict(variant="bogus"), "variant must be one of"),
+            (dict(mode="bogus"), "mode must be one of"),
+        ],
+    )
+    def test_run_settings_checked_when_built(self, kwargs, match):
+        with pytest.raises(ParameterError, match=match):
+            GridSpec(**kwargs)
+
+    def test_run_settings_default_to_the_config_defaults(self):
+        grid, config = GridSpec(), DiffusionConfig()
+        assert (grid.variant, grid.mode, grid.delta, grid.warm_start_steps) == (
+            config.variant, config.mode, config.delta, config.warm_start_steps
+        )
 
     def test_repeated_values_kept_once_in_order(self):
         grid = GridSpec(K_values=[10, 5, 10], T_values=(50, 10, 50), sigma_f_values=[0.2, 0.2])
@@ -431,12 +458,13 @@ class TestBenchmarkMatchesRerun:
         # the divergence grid of TestGridSearch: every cell overflows
         ds = gaussian_blobs(40, 2, 10.0, 2, seed=4)
         grid = GridSpec(
-            K_values=(3,), T_values=(400,), sigma_f_values=(0.2,), variant="isotropic"
+            K_values=(3,), T_values=(400,), sigma_f_values=(0.2,), variant="isotropic",
+            delta=1000.0,
         )
-        _, err, labels = grid_search(grid, ds, split_labels(ds, 4, seed=4), delta=1000.0)
+        _, err, labels = grid_search(grid, ds, split_labels(ds, 4, seed=4))
         assert err == 100.0 and labels is None
         with pytest.raises(DivergenceError, match="diverged at delta=1000"):
-            benchmark(ds, ["I"], [4], grid, train_labels=4, delta=1000.0)
+            benchmark(ds, ["I"], [4], grid, train_labels=4)
 
 
 class TestGrfSearch:
@@ -456,10 +484,7 @@ class TestGrfSearch:
 
     @staticmethod
     def search(ds, graphs):
-        config = DiffusionConfig()
-        return evaluation._run_slice(
-            ds, GridSpec(), graphs, 2, config.delta, config.warm_start_steps, "GRF", 0
-        )
+        return evaluation._run_slice(ds, GridSpec(), graphs, 2, "GRF", 0)
 
     @staticmethod
     def errors(ds, g):
@@ -622,10 +647,10 @@ class TestParallelBenchmark:
 
     def test_diverged_selection_raises_after_the_children_end(self):
         ds = gaussian_blobs(40, 2, 10.0, 2, seed=4)
-        grid = GridSpec(K_values=(3, 4), T_values=(400,), sigma_f_values=(0.2,))
+        grid = GridSpec(K_values=(3, 4), T_values=(400,), sigma_f_values=(0.2,), delta=1000.0)
         # every cell diverges at either seed, and the second seed's search runs in a child
         with processes(2), pytest.raises(DivergenceError, match="diverged at delta=1000"):
-            benchmark(ds, ["I"], [4, 5], grid, train_labels=4, delta=1000.0)
+            benchmark(ds, ["I"], [4, 5], grid, train_labels=4)
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize(
@@ -638,7 +663,7 @@ class TestParallelBenchmark:
     def test_arguments_checked_for_any_method_list(self, kwargs, match):
         ds = two_moons(40, 0.1, seed=1)
         with pytest.raises(ParameterError, match=match):
-            benchmark(ds, ["GRF"], [0], GridSpec(K_values=(4,)), train_labels=4, **kwargs)
+            benchmark(ds, ["GRF"], [0], GridSpec(K_values=(4,), **kwargs), train_labels=4)
 
     def test_daemonic_process_runs_serially(self):
         # a daemonic process may not have children, so it runs every slice itself

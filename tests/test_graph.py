@@ -157,6 +157,18 @@ class TestKnnAcrossBlocks:
         self.check(D, (1, 10, 300, 599))
 
 
+@pytest.mark.parametrize("copies, K_max", [(1, 30), (4, 25)], ids=["grid", "grid-x4"])
+def test_shorter_knn_lists_are_prefixes_of_longer_ones(copies, K_max):
+    # every list follows one total order (distance, then index), so one
+    # selection at the largest K holds the lists of every smaller K
+    i = np.arange(144)
+    X = np.repeat(np.stack([i % 12, i // 12], axis=1), copies, axis=0)
+    D = pairwise_distances(X)
+    longest = knn_neighborhoods(D, K_max)
+    for K in range(1, K_max):
+        assert np.array_equal(knn_neighborhoods(D, K), longest[:, :K]), K
+
+
 @pytest.mark.parametrize("K, bound", [(10, 0.25), (200, 1.6)])
 def test_build_knn_graph_memory_is_below_the_distance_matrix(K, bound):
     # graph set-up may keep a few row blocks, never an n x n temporary, and
